@@ -7,7 +7,7 @@ and strictly better on at least one:
     a ≺ b  ⇔  (∀k: a[k] <= b[k]) ∧ (∃k: a[k] < b[k])
 
 The vectorised helpers are the work-horses of every local-skyline
-computation; they are chunked so the intermediate boolean tensors stay
+computation; they are chunked so the intermediate boolean slabs stay
 bounded regardless of input size.
 """
 
@@ -18,9 +18,14 @@ import numpy as np
 
 from repro.errors import DataError
 
-#: Upper bound (in bool elements) for a single broadcasted comparison
-#: tensor produced by the chunked helpers. 2**24 bools = 16 MiB.
+#: Upper bound (in bool elements) for the comparison slabs one chunk of
+#: :func:`dominated_mask` holds at once. 2**24 bools = 16 MiB.
 _CHUNK_BUDGET = 1 << 24
+
+#: Up to this many element comparisons, one broadcast over a
+#: ``(against, cand, d)`` tensor beats the per-dimension slab passes,
+#: whose cost at that size is all per-call overhead.
+_SMALL_BLOCK = 1 << 10
 
 
 def dominates(a, b) -> bool:
@@ -72,59 +77,68 @@ def point_dominated_by(point: np.ndarray, block: np.ndarray) -> bool:
     return bool((le.all(axis=1) & lt.any(axis=1)).any())
 
 
+def _slab_hits(columns: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Which ``cand`` columns some ``columns`` column dominates.
+
+    Both arguments are transposed blocks, one row per dimension. Each
+    dimension takes one in-place ``<=`` and one ``==`` pass over a 2-D
+    ``(against, cand)`` slab.
+    """
+    rows = columns[:, :, None]
+    le = rows[0] <= cand[0]
+    eq = rows[0] == cand[0]
+    work = np.empty_like(le)
+    for k in range(1, rows.shape[0]):
+        le &= np.less_equal(rows[k], cand[k], out=work)
+        eq &= np.equal(rows[k], cand[k], out=work)
+    le &= np.invert(eq, out=eq)
+    return le.any(axis=0)
+
+
 def dominated_mask(candidates: np.ndarray, against: np.ndarray) -> np.ndarray:
     """Mask over ``candidates`` rows dominated by any row of ``against``.
 
-    Memory-bounded: ``against`` is swept in chunks whose broadcasted
-    comparison tensor stays under ``_CHUNK_BUDGET`` bools. Rows already
-    known to be dominated are skipped in later chunks.
+    The slab kernel: a row of ``against`` dominates a candidate where
+    ``<=`` held on every dimension and ``==`` did not, both tested one
+    dimension at a time over 2-D boolean slabs. Memory-bounded:
+    ``against`` is swept in chunks whose three slabs stay under
+    ``_CHUNK_BUDGET`` bools, and rows already known to be dominated are
+    skipped in later chunks.
     """
     candidates = np.asarray(candidates, dtype=np.float64)
     against = np.asarray(against, dtype=np.float64)
     n = candidates.shape[0]
-    mask = np.zeros(n, dtype=bool)
-    if n == 0 or against.shape[0] == 0:
-        return mask
+    m = against.shape[0]
+    if n == 0 or m == 0:
+        return np.zeros(n, dtype=bool)
     if candidates.shape[1] != against.shape[1]:
         raise DataError(
             f"dimensionality mismatch: {candidates.shape[1]} vs {against.shape[1]}"
         )
-    d = candidates.shape[1]
+    if n * m * candidates.shape[1] <= _SMALL_BLOCK:
+        x = against[:, None, :]
+        y = candidates[None, :, :]
+        return ((x <= y).all(axis=2) & (x < y).any(axis=2)).any(axis=0)
+    columns = against.T
+    cand = candidates.T
+    step = _row_chunks(m, 3 * n)
+    if step >= m:
+        return _slab_hits(columns, cand)
+    mask = np.zeros(n, dtype=bool)
     alive = np.arange(n)
     start = 0
-    m = against.shape[0]
     while start < m and alive.size:
-        # Re-derive the chunk step from the *surviving* candidate
-        # count: as candidates are eliminated the broadcast tensor
-        # shrinks, so later sweeps can take proportionally larger
-        # bites of ``against`` under the same memory budget.
-        step = _row_chunks(m - start, alive.size * d)
-        blk = against[start : start + step]
-        cand = candidates[alive]
-        # (blk_rows, cand_rows, d) broadcast, reduced immediately.
-        le = (blk[:, None, :] <= cand[None, :, :]).all(axis=2)
-        lt = (blk[:, None, :] < cand[None, :, :]).any(axis=2)
-        hit = (le & lt).any(axis=0)
+        hit = _slab_hits(columns[:, start : start + step], cand)
         mask[alive[hit]] = True
         alive = alive[~hit]
+        cand = cand[:, ~hit]
         start += step
+        # Re-derive the chunk step from the *surviving* candidate
+        # count: as candidates are eliminated the slabs shrink, so
+        # later sweeps can take proportionally larger bites of
+        # ``against`` under the same memory budget.
+        step = _row_chunks(m - start, 3 * alive.size)
     return mask
-
-
-def any_dominates(sources: np.ndarray, targets: np.ndarray) -> bool:
-    """True iff any row of ``sources`` dominates any row of ``targets``."""
-    return bool(dominated_mask(targets, sources).any())
-
-
-def count_dominators(point: np.ndarray, block: np.ndarray) -> int:
-    """Number of rows in ``block`` that dominate ``point``."""
-    point = np.asarray(point, dtype=np.float64).ravel()
-    block = np.asarray(block, dtype=np.float64)
-    if block.shape[0] == 0:
-        return 0
-    le = block <= point
-    lt = block < point
-    return int((le.all(axis=1) & lt.any(axis=1)).sum())
 
 
 def entropy_key(data: np.ndarray) -> np.ndarray:
@@ -190,6 +204,18 @@ class DominanceCounter:
         """Record a block comparison of ``left_rows`` x ``right_rows``."""
         self.pairs += int(left_rows) * int(right_rows)
         self.calls += 1
+
+    def charge_each(self, left_rows: np.ndarray) -> None:
+        """Record one ``charge(r, 1)`` per non-zero entry ``r``.
+
+        A sort-filter pass compares each scanned row against the rows
+        accepted before it; ``left_rows`` holds those accepted-prefix
+        counts, so a batched pass charges exactly what the per-row
+        window scan would have.
+        """
+        left_rows = np.asarray(left_rows, dtype=np.int64)
+        self.pairs += int(left_rows.sum())
+        self.calls += int(np.count_nonzero(left_rows))
 
     def merge(self, other: "DominanceCounter") -> None:
         self.pairs += other.pairs

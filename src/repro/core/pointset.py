@@ -15,6 +15,7 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from repro.core import dominance
+from repro.core.sfs import sfs_skyline_indices
 from repro.errors import DataError
 
 
@@ -159,32 +160,16 @@ class PointSet:
     ) -> "PointSet":
         """Skyline of this set alone (sort-filter, vectorised).
 
-        Presorts by the monotone sum key so a tuple can only be dominated
-        by tuples earlier in the order, then filters with a growing
-        window (the vectorised equivalent of the paper's Algorithm 4
-        ``InsertTuple`` loop). Stable sort keeps duplicate skyline points
-        (which, per Definition 1, never dominate each other) all present.
+        Presorts by the monotone sum key and filters with a growing
+        window, block-batched (:func:`repro.core.sfs.sfs_skyline_indices`,
+        the vectorised equivalent of the paper's Algorithm 4
+        ``InsertTuple`` loop). Rows come back in key order; duplicate
+        skyline points (which, per Definition 1, never dominate each
+        other) are all kept.
         """
-        n = len(self)
-        if n <= 1:
+        if len(self) <= 1:
             return self
-        ordered = self.sort_by(dominance.entropy_key(self.values))
-        vals = ordered.values
-        d = self.dimensionality
-        window = np.empty((n, d))
-        keep = np.empty(n, dtype=np.int64)
-        size = 0
-        for i in range(n):
-            v = vals[i]
-            if size:
-                if counter is not None:
-                    counter.charge(size, 1)
-                if dominance.point_dominated_by(v, window[:size]):
-                    continue
-            window[size] = v
-            keep[size] = i
-            size += 1
-        return ordered.select(keep[:size])
+        return self.select(sfs_skyline_indices(self.values, counter))
 
     def merge_skyline(
         self,

@@ -2,9 +2,11 @@
 
 Presort the data by a monotone scoring function, then filter with a
 window. Because the score is monotone w.r.t. dominance, a tuple can only
-be dominated by tuples *before* it in the order, so the window never
-needs eviction — each survivor is final. Used by the MR-SFS baseline
-and as the default vectorised local-skyline routine.
+be dominated by tuples before it in the order or tied with it, so the
+window never needs eviction — each survivor is final. This is the one
+sort-filter loop of the library: the MR-SFS baseline, the centralized
+``sfs`` method and :meth:`repro.core.pointset.PointSet.local_skyline`
+all run it.
 """
 
 from __future__ import annotations
@@ -17,6 +19,11 @@ from repro.core import dominance
 from repro.errors import DataError
 
 
+#: Presorted rows filtered per batch; a block grows past this size
+#: rather than split a run of equal sort keys.
+BLOCK_ROWS = 256
+
+
 def sfs_skyline_indices(
     data: np.ndarray,
     counter: Optional[dominance.DominanceCounter] = None,
@@ -27,11 +34,20 @@ def sfs_skyline_indices(
     ``key`` maps the dataset to a 1-D monotone score (default: row sum,
     see :func:`repro.core.dominance.entropy_key`). Returned indices are
     ascending in that score.
+
+    The presorted rows are filtered a block at a time: first against
+    the window of rows accepted from earlier blocks, then against the
+    block's own survivors. A block never splits a run of equal scores,
+    and the in-block test looks both ways, so rows whose scores tie
+    (which a float score can do even when one row dominates the other)
+    are filtered correctly. ``counter`` is charged what the per-row
+    window scan charges: one comparison of each row against every row
+    accepted before it.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise DataError(f"dataset must be 2-D, got shape {data.shape}")
-    n, d = data.shape
+    n = data.shape[0]
     if n == 0:
         return np.empty(0, dtype=np.int64)
     scores = (key or dominance.entropy_key)(data)
@@ -39,20 +55,25 @@ def sfs_skyline_indices(
     if scores.shape[0] != n:
         raise DataError("sort key must produce one score per row")
     order = np.argsort(scores, kind="stable")
-    window = np.empty((n, d))
-    keep = np.empty(n, dtype=np.int64)
-    size = 0
-    for idx in order:
-        v = data[idx]
-        if size:
-            if counter is not None:
-                counter.charge(size, 1)
-            if dominance.point_dominated_by(v, window[:size]):
-                continue
-        window[size] = v
-        keep[size] = idx
-        size += 1
-    return keep[:size].copy()
+    rows = data[order]
+    scores = scores[order]
+    keep = np.empty(n, dtype=bool)
+    window = rows[:0]
+    start = 0
+    while start < n:
+        stop = min(start + BLOCK_ROWS, n)
+        if stop < n and scores[stop] == scores[stop - 1]:
+            stop = int(np.searchsorted(scores, scores[stop - 1], side="right"))
+        block = rows[start:stop]
+        alive = ~dominance.dominated_mask(block, window)
+        survivors = block[alive]
+        alive[alive] = ~dominance.dominated_mask(survivors, survivors)
+        keep[start:stop] = alive
+        window = np.concatenate((window, block[alive]))
+        start = stop
+    if counter is not None:
+        counter.charge_each(np.cumsum(keep) - keep)
+    return order[keep]
 
 
 def sfs_skyline(data: np.ndarray, **kwargs) -> np.ndarray:

@@ -191,6 +191,25 @@ class TestFingerprint:
         assert fingerprint({1: 2}) != fingerprint({1: 3})
 
 
+def float_sum_ties(n: int = 400, seed: int = 1) -> np.ndarray:
+    """Rows whose float row sums tie although one row dominates another.
+
+    Column 0 is 1e12, 2e12 or 3e12; the other two columns are multiples
+    of 1e-7 below 1e-6, which vanish from a row sum at that scale, so a
+    sum-presorted scan sees dominating and dominated rows as tied. Few
+    distinct values per column, so MR-Bitmap takes the rows as they are.
+    """
+    rng = np.random.default_rng(seed)
+    k = rng.integers(0, 10, n)
+    return np.column_stack(
+        [
+            rng.integers(1, 4, n) * 1e12,
+            k * 1e-7,
+            (9 - k + rng.integers(0, 3, n)) * 1e-7,
+        ]
+    )
+
+
 class TestRealAlgorithms:
     """Every registered MapReduce algorithm honours the contracts —
     under the serial contract engine and its BSP twin alike."""
@@ -207,10 +226,10 @@ class TestRealAlgorithms:
             # MR-Bitmap requires small per-dimension domains (<= 64
             # distinct values, paper Section 2.2).
             data = np.round(data, 1)
-        algorithm = make_algorithm(name)
-        result = algorithm.compute(data, engine=engine_cls())
-        expected = bruteforce_skyline_indices(data)
-        assert sorted(result.indices.tolist()) == sorted(expected.tolist())
+        for case in (data, float_sum_ties()):
+            result = make_algorithm(name).compute(case, engine=engine_cls())
+            expected = bruteforce_skyline_indices(case)
+            assert sorted(result.indices.tolist()) == sorted(expected.tolist())
 
     def test_contract_bsp_engine_runs_green_under_faults(self):
         """The BSP contract engine stays green with a FaultPlan active:

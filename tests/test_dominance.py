@@ -1,10 +1,14 @@
 """Tuple dominance semantics (Definition 1) and vectorised helpers."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from repro.core import dominance
 from repro.errors import DataError
+from tests.kernel_inputs import blocks
 
 
 class TestDominates:
@@ -83,25 +87,25 @@ class TestVectorised:
         with pytest.raises(DataError):
             dominance.dominated_mask(np.ones((2, 2)), np.ones((2, 3)))
 
-    def test_dominated_mask_chunking(self, rng, monkeypatch):
-        """A tiny chunk budget must not change the result."""
-        cand = rng.random((50, 4))
-        against = rng.random((70, 4))
-        expect = dominance.dominated_mask(cand, against)
-        monkeypatch.setattr(dominance, "_CHUNK_BUDGET", 64)
-        assert np.array_equal(dominance.dominated_mask(cand, against), expect)
-
-    def test_any_dominates(self):
-        assert dominance.any_dominates(
-            np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]])
+    @settings(max_examples=60, deadline=None)
+    @given(pair=blocks(max_rows=40, count=2))
+    @example(
+        pair=(
+            np.random.default_rng(0).random((50, 4)),
+            np.random.default_rng(1).random((70, 4)),
         )
-        assert not dominance.any_dominates(
-            np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])
-        )
-
-    def test_count_dominators(self):
-        block = np.array([[0.0, 0.0], [0.5, 0.5], [2.0, 2.0], [1.0, 1.0]])
-        assert dominance.count_dominators(np.array([1.0, 1.0]), block) == 2
+    )
+    def test_dominated_mask_chunking(self, pair):
+        """The slab kernel matches the brute-force mask, under the
+        default chunk budget and under one so tiny that ``against`` is
+        swept a row at a time."""
+        cand, against = pair
+        expect = [
+            any(dominance.dominates(a, c) for a in against) for c in cand
+        ]
+        assert dominance.dominated_mask(cand, against).tolist() == expect
+        with mock.patch.object(dominance, "_CHUNK_BUDGET", 64):
+            assert dominance.dominated_mask(cand, against).tolist() == expect
 
 
 class TestEntropyKey:
