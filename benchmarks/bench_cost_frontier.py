@@ -4,22 +4,22 @@ Standalone (no pytest-benchmark) so CI can gate on it cheaply::
 
     PYTHONPATH=src python benchmarks/bench_cost_frontier.py --quick
 
-Sweeps MR-GPMRS's reducer count under the BSP superstep engine and
-reads the engine's :class:`~repro.bsp.cost.CostReport` at each point:
-the max-reducer-input budget ``q``, the replication rate ``r``, the
-per-superstep h-relation, and Afrati et al.'s all-pairs reference
-bound ``r >= n/q``. The checks that make the rounds/replication
-trade-off (Lemma 2 / Figure 6) testable rather than assumed:
+Sweeps MR-GPMRS's reducer count and folds each run's job stats into a
+:class:`~repro.bsp.cost.CostReport`: the max-reducer-input budget
+``q``, the replication rate ``r``, the per-superstep h-relation, and
+Afrati et al.'s all-pairs reference bound ``r >= n/q``. The checks
+that make the rounds/replication trade-off (Lemma 2 / Figure 6)
+testable rather than assumed:
 
-* the BSP skyline is byte-identical to the SerialEngine skyline at
-  every sweep point — the execution model changes cost, never results;
+* the skyline at every sweep point is byte-identical to an
+  independent serial run's — measuring the cost never changes results;
 * replication is non-increasing as the reducer-input budget ``q``
   grows — a bigger memory bound needs fewer delivered copies;
 * every replication rate is >= 1 — each source record is delivered at
   least once;
-* makespan shape: BSP, serial, thread-pool and process-pool engines
-  agree on the simulated makespan and the skyline, and the BSP
-  barrier-inclusive schedule is at least the plain makespan.
+* makespan shape: serial, thread-pool and process-pool engines agree
+  on the simulated makespan, the skyline and the cost report, and the
+  barrier view of the schedule is at least the plain makespan.
 
 Writes ``BENCH_cost.json`` at the repo root; exits non-zero if any
 check fails.
@@ -33,37 +33,33 @@ import os
 import sys
 
 from repro import skyline
-from repro.bsp import BSPEngine, afrati_allpairs_bound, bsp_job_spans
+from repro.bsp import CostReport, afrati_allpairs_bound
 from repro.data import generate
 from repro.mapreduce.cluster import SimulatedCluster
 from repro.mapreduce.parallel import ProcessPoolEngine, ThreadPoolEngine
+from repro.mapreduce.trace import schedule_spans
 
 
-def _bsp_makespan(cluster, stats_jobs) -> float:
-    """Barrier-inclusive makespan of the BSP schedule view."""
-    total = 0.0
-    for stats in stats_jobs:
-        _spans, _tracks, makespan = bsp_job_spans(cluster, stats)
-        total += makespan
-    return total
+def _barrier_makespan(cluster, stats_jobs) -> float:
+    """Makespan of the barrier view: where its last span ends."""
+    spans = schedule_spans(cluster, stats_jobs, barriers=True)
+    return max((span.end_s for span in spans), default=0.0)
 
 
 def _run_point(data, cluster, num_reducers, tpp):
-    engine = BSPEngine()
     result = skyline(
         data,
         algorithm="mr-gpmrs",
         cluster=cluster,
-        engine=engine,
         num_reducers=num_reducers,
         tpp=tpp,
     )
-    cost = engine.cost
+    cost = CostReport.from_jobs(result.stats.jobs)
     row = {
         "num_reducers": num_reducers,
         "makespan_s": round(result.runtime_s, 4),
         "bsp_makespan_s": round(
-            _bsp_makespan(cluster, result.stats.jobs), 4
+            _barrier_makespan(cluster, result.stats.jobs), 4
         ),
         "skyline_size": len(result),
         "indices": result.indices.tolist(),
@@ -109,13 +105,14 @@ def main(argv=None) -> int:
     tpp = max(4, min(512, cardinality // (2 ** args.dimensionality)))
     print(
         f"workload: anticorrelated {cardinality} x {args.dimensionality}, "
-        f"mr-gpmrs under the BSP engine, 13 simulated nodes"
+        f"mr-gpmrs, 13 simulated nodes"
     )
 
     failures = []
     serial = skyline(data, algorithm="mr-gpmrs", cluster=cluster,
                      num_reducers=13, tpp=tpp)
     serial_indices_13 = serial.indices.tolist()
+    serial_cost = CostReport.from_jobs(serial.stats.jobs).as_dict()
 
     reducer_sweep = [1, 2, 4, 8, 13]
     sweep = []
@@ -128,7 +125,7 @@ def main(argv=None) -> int:
         )
         if row["indices"] != reference.indices.tolist():
             failures.append(
-                f"BSP skyline differs from serial at {nr} reducers"
+                f"skyline differs between serial runs at {nr} reducers"
             )
         sweep.append(row)
         print(
@@ -163,7 +160,6 @@ def main(argv=None) -> int:
     engine_rows = {}
     for name, factory in (
         ("serial", lambda: None),
-        ("bsp", BSPEngine),
         ("threads", lambda: ThreadPoolEngine(max_workers=4)),
         ("processes", lambda: ProcessPoolEngine(max_workers=2)),
     ):
@@ -183,6 +179,8 @@ def main(argv=None) -> int:
                 f"{name} engine changed the simulated makespan "
                 f"({serial.runtime_s}s -> {result.runtime_s}s)"
             )
+        if CostReport.from_jobs(result.stats.jobs).as_dict() != serial_cost:
+            failures.append(f"{name} engine changed the cost report")
 
     for row in sweep:
         row.pop("indices")

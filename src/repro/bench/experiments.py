@@ -624,18 +624,16 @@ def run_cost_frontier(
 ) -> FigureReport:
     """Rounds/replication cost frontier (Lemma 2 / Figure 6).
 
-    Sweeps the reducer count of MR-GPMRS under the BSP engine and
-    reads its :class:`~repro.bsp.cost.CostReport`: shrinking the
+    Sweeps the reducer count of MR-GPMRS and reads each run's
+    :class:`~repro.bsp.cost.CostReport`: shrinking the
     max-reducer-input budget ``q`` buys parallelism at the price of a
     higher replication rate ``r``, the trade-off Afrati et al. bound
     by ``r >= n/q`` for all-pairs problems. The skyline's independent
     groups sit *below* that curve — the bound column is a reference
-    line, not a target. A caller-supplied ``engine`` is ignored: the
-    engine is the subject here, and each point needs a fresh one so
-    cost reports do not blend across points.
+    line, not a target. The report is folded from each run's job
+    stats, so every engine measures the same frontier.
     """
-    del engine  # the sweep constructs its own BSPEngine per point
-    from repro.bsp import BSPEngine, afrati_allpairs_bound
+    from repro.bsp import afrati_allpairs_bound
 
     card = scaled_cardinality(PAPER_CARD_LOW, scale * 4)
     d = 4
@@ -643,7 +641,7 @@ def run_cost_frontier(
     panels = []
     for dist in ("independent", "anticorrelated"):
         panel = Panel(
-            title=f"{d}-d {dist}, card {card} (BSP engine)",
+            title=f"{d}-d {dist}, card {card}",
             x_name="reducers",
             x_values=list(reducers),
         )
@@ -653,15 +651,14 @@ def run_cost_frontier(
         max_q: List[int] = []
         bound: List[float] = []
         for nr in reducers:
-            bsp = BSPEngine()
             cell = Cell.make(
                 workload,
                 "mr-gpmrs",
                 num_reducers=nr,
                 tpp=auto_tpp(card, d),
             )
-            result = run_cell(cell, cluster=cluster, engine=bsp)
-            cost = bsp.cost
+            result = run_cell(cell, cluster=cluster, engine=engine)
+            cost = result.cost
             results.append(result)
             replication.append(round(cost.replication_rate, 4))
             max_q.append(cost.max_reducer_input_records)
@@ -691,7 +688,7 @@ def run_cost_frontier(
         panels.append(panel)
     return FigureReport(
         figure_id="Cost frontier",
-        title="Replication rate vs reducer-input budget (BSP cost model)",
+        title="Replication rate vs reducer-input budget (BSP cost view)",
         panels=panels,
         notes=(
             "allpairs_bound is Afrati's r >= n/q reference curve; the "

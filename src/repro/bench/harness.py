@@ -20,6 +20,7 @@ from typing import Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.algorithms.registry import make_algorithm
+from repro.bsp import CostReport
 from repro.data.generators import generate
 from repro.errors import ValidationError
 from repro.mapreduce.cluster import SimulatedCluster
@@ -90,6 +91,8 @@ class CellResult:
     artifacts: Dict[str, Any] = field(default_factory=dict)
     #: Full run report (only populated by ``run_cell(report=True)``).
     report: Optional[Dict[str, Any]] = None
+    #: Rounds/replication cost of the run (None for a DNF cell).
+    cost: Optional[CostReport] = None
 
     @property
     def is_dnf(self) -> bool:
@@ -192,6 +195,7 @@ def run_cell(
         shuffle_bytes=result.stats.total_shuffle_bytes(),
         artifacts=result.artifacts,
         report=cell_report,
+        cost=CostReport.from_jobs(result.stats.jobs),
     )
 
 

@@ -1,50 +1,28 @@
-"""``repro.bsp`` — the BSP superstep engine and its cost model.
+"""``repro.bsp`` — rounds and replication as a view over job stats.
 
-A whole parallel execution model alongside MapReduce: unchanged job
-and pipeline definitions compile onto Bulk Synchronous Parallel
-superstep programs (local compute -> h-relation communication ->
-barrier), execute with byte-identical results to every other engine,
-and measure the rounds/replication cost frontier the paper's
-independent-group designs trade along (Lemma 2 / Figure 6; Afrati et
-al.'s replication-vs-reducer-input bound).
+Every MapReduce round is two BSP supersteps (local compute ->
+h-relation communication -> barrier), so the rounds/replication cost
+frontier the paper's independent-group designs trade along (Lemma 2 /
+Figure 6; Afrati et al.'s replication-vs-reducer-input bound) is a
+function of what each shuffle moved. Every engine measures that
+exchange onto :class:`~repro.mapreduce.metrics.JobStats`; this package
+folds it into a report.
 
 Public surface:
 
-* :class:`~repro.bsp.engine.BSPEngine` — the fifth engine (a drop-in
-  ``engine=`` argument, ``--engine bsp`` on the CLI);
-* :class:`~repro.bsp.engine.ContractCheckingBSPEngine` — the same,
-  under the full purity-contract certificate;
-* :func:`~repro.bsp.superstep.compile_job` /
-  :class:`~repro.bsp.superstep.Superstep` /
-  :class:`~repro.bsp.superstep.BSPProgram` — the compiler;
-* :class:`~repro.bsp.cost.CostReport` /
+* :class:`~repro.bsp.cost.CostReport` (``CostReport.from_jobs``) /
   :class:`~repro.bsp.cost.SuperstepCost` /
-  :func:`~repro.bsp.cost.afrati_allpairs_bound` — the cost model;
-* :func:`~repro.bsp.trace.render_bsp_gantt` /
-  :func:`~repro.bsp.trace.bsp_schedule_spans` — barrier-aware views.
+  :func:`~repro.bsp.cost.afrati_allpairs_bound` — the cost model.
+
+The barrier-aware schedule is the ``barriers`` option of
+:func:`repro.mapreduce.trace.schedule_spans` and
+:func:`repro.mapreduce.trace.render_pipeline_gantt`.
 """
 
 from repro.bsp.cost import CostReport, SuperstepCost, afrati_allpairs_bound
-from repro.bsp.engine import BSPEngine, ContractCheckingBSPEngine
-from repro.bsp.superstep import (
-    BSPProgram,
-    Superstep,
-    compile_job,
-    compile_jobs,
-)
-from repro.bsp.trace import bsp_job_spans, bsp_schedule_spans, render_bsp_gantt
 
 __all__ = [
-    "BSPEngine",
-    "ContractCheckingBSPEngine",
-    "BSPProgram",
-    "Superstep",
-    "compile_job",
-    "compile_jobs",
     "CostReport",
     "SuperstepCost",
     "afrati_allpairs_bound",
-    "bsp_job_spans",
-    "bsp_schedule_spans",
-    "render_bsp_gantt",
 ]

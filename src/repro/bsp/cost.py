@@ -1,4 +1,4 @@
-"""First-class cost-model outputs of the BSP engine.
+"""Rounds and replication: the BSP cost view of a MapReduce pipeline.
 
 The paper's MR-GPSRS/MR-GPMRS designs are round-and-replication
 tradeoffs: independent-group partitioning (Lemma 2, Figure 6) buys
@@ -11,12 +11,15 @@ frame that frontier with two numbers:
 * **reducer input size** ``q`` — the largest input one reduce peer
   must hold (the memory bound).
 
-The BSP engine measures both directly at its communication phases,
-plus the BSP-native quantities — round count, superstep count, and the
-per-superstep *h-relation* degree (max over peers of records/bytes
-sent or received) — and accumulates them here. Everything is charged
-on the engine's own counter bag (``mr.cost.*``), never into job stats,
-which must stay byte-identical across engines.
+Pace ("BSP vs MapReduce") maps each MapReduce round onto two BSP
+supersteps — map compute plus the shuffle's h-relation, then reduce
+compute — each closed by a barrier. So the whole report is a function
+of what each shuffle moved: every engine measures that exchange once,
+in the shared shuffle (:meth:`repro.mapreduce.engine.SerialEngine._shuffle`),
+onto :class:`~repro.mapreduce.metrics.JobStats`, and
+:meth:`CostReport.from_jobs` folds the jobs of a pipeline into rounds,
+supersteps, barriers, replication, ``q`` and the per-superstep
+*h-relation* degree (max over peers of records/bytes sent or received).
 
 Replication accounting counts logical records
 (:func:`repro.mapreduce.sizes.payload_units`): a delivered
@@ -31,33 +34,14 @@ own source — their replication contribution is exactly 1 — so
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Set
+from typing import Any, Dict, List, Sequence
 
-from repro.core.pointset import PointSet
 from repro.errors import ValidationError
+from repro.mapreduce.metrics import JobStats
 
 #: Decimal places kept for derived rates in ``as_dict`` (matches the
 #: run report's simulated-clock rounding).
 _RATE_DECIMALS = 9
-
-
-def gather_source_ids(value: Any, ids: Set[int]) -> int:
-    """Collect the point ids inside ``value``; return the scalar count.
-
-    The two halves of source-record accounting: ids land in ``ids``
-    (deduplicated across every message a peer sends — the same
-    partition skyline routed to three groups is one source per point),
-    and payloads that carry no ids return how many id-less records they
-    contain (each emission counts as its own source).
-    """
-    if isinstance(value, PointSet):
-        ids.update(int(i) for i in value.ids.tolist())
-        return 0
-    if isinstance(value, (tuple, list, set, frozenset)):
-        return sum(gather_source_ids(v, ids) for v in value)
-    if isinstance(value, dict):
-        return sum(gather_source_ids(v, ids) for v in value.values())
-    return 1
 
 
 def afrati_allpairs_bound(source_records: int, reducer_input: int) -> float:
@@ -89,7 +73,7 @@ class SuperstepCost:
     phase (0 for supersteps that retain their output locally).
     """
 
-    step: int  # global superstep index across the engine's lifetime
+    step: int  # superstep index across the pipeline (two per job)
     job: str
     phase: str  # 'map' | 'reduce'
     peers: int
@@ -113,11 +97,9 @@ class SuperstepCost:
 
 @dataclass
 class CostReport:
-    """Accumulated cost-model outputs of one BSP engine instance.
+    """Rounds/replication cost of a pipeline, folded from its jobs.
 
-    One engine executes a whole pipeline (algorithms submit each round
-    to ``engine.run``), so the report spans every round the instance
-    has run: ``rounds`` is the pipeline's MapReduce round count and
+    ``rounds`` is the pipeline's MapReduce round count and
     ``replication_rate`` the pipeline-wide Afrati rate.
     """
 
@@ -130,6 +112,58 @@ class CostReport:
     max_reducer_input_bytes: int = 0
     supersteps: List[SuperstepCost] = field(default_factory=list)
 
+    @classmethod
+    def from_jobs(cls, jobs: Sequence[JobStats]) -> "CostReport":
+        """Fold the exchange each job's shuffle measured into the report.
+
+        Each job is one round of two supersteps: the map superstep
+        (one peer per map task) carries the shuffle's h-relation, the
+        reduce superstep (one peer per reducer) keeps its output local.
+        Both end at a barrier.
+        """
+        report = cls()
+        for stats in jobs:
+            sent_bytes = [task.bytes_out for task in stats.map_tasks]
+            delivered = sum(stats.received_records)
+            delivered_bytes = sum(stats.received_bytes)
+            report.supersteps.append(
+                SuperstepCost(
+                    step=report.num_supersteps,
+                    job=stats.job_name,
+                    phase="map",
+                    peers=stats.num_map_tasks,
+                    delivered_records=delivered,
+                    delivered_bytes=delivered_bytes,
+                    h_records=max(
+                        stats.sent_records + stats.received_records,
+                        default=0,
+                    ),
+                    h_bytes=max(sent_bytes + stats.received_bytes, default=0),
+                )
+            )
+            report.supersteps.append(
+                SuperstepCost(
+                    step=report.num_supersteps,
+                    job=stats.job_name,
+                    phase="reduce",
+                    peers=stats.num_reduce_tasks,
+                )
+            )
+            report.rounds += 1
+            report.barriers += 2
+            report.source_records += stats.source_records
+            report.delivered_records += delivered
+            report.delivered_bytes += delivered_bytes
+            report.max_reducer_input_records = max(
+                report.max_reducer_input_records,
+                max(stats.received_records, default=0),
+            )
+            report.max_reducer_input_bytes = max(
+                report.max_reducer_input_bytes,
+                max(stats.received_bytes, default=0),
+            )
+        return report
+
     @property
     def num_supersteps(self) -> int:
         return len(self.supersteps)
@@ -138,8 +172,8 @@ class CostReport:
     def replication_rate(self) -> float:
         """Delivered record copies per distinct source record (>= 1).
 
-        An engine that has not communicated yet reports the identity
-        rate 1.0 rather than dividing by zero.
+        A pipeline that never communicated reports the identity rate
+        1.0 rather than dividing by zero.
         """
         if self.source_records <= 0:
             return 1.0

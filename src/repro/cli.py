@@ -36,24 +36,28 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from typing import List, Optional
 
 
 from repro import available_algorithms, skyline
 from repro.bench.experiments import EXPERIMENTS
+from repro.bsp import CostReport
 from repro.data import generate, load_csv, load_npy
 from repro.errors import ReproError
 from repro.mapreduce.cluster import SimulatedCluster
 from repro.mapreduce.faults import FaultPlan, RetryPolicy
 
-#: The engine registry: name -> (class name, execution model, shared
-#: memory, fault injection). ``repro-skyline list --engines`` prints
-#: it and docs/architecture.md carries the same matrix; ``--engine``
-#: everywhere accepts exactly these names.
+#: The engine registry: name -> (module, class name, execution model,
+#: shared memory, fault injection). ``repro-skyline list --engines``
+#: prints it, docs/architecture.md carries the same matrix,
+#: ``--engine`` everywhere accepts exactly these names, and
+#: :func:`_make_engine` builds from it.
 ENGINE_REGISTRY = (
     (
         "serial",
+        "repro.mapreduce.engine",
         "SerialEngine",
         "sequential tasks, modelled parallelism",
         "no",
@@ -61,6 +65,7 @@ ENGINE_REGISTRY = (
     ),
     (
         "threads",
+        "repro.mapreduce.parallel",
         "ThreadPoolEngine",
         "concurrent tasks in one process",
         "no",
@@ -68,20 +73,15 @@ ENGINE_REGISTRY = (
     ),
     (
         "processes",
+        "repro.mapreduce.parallel",
         "ProcessPoolEngine",
         "worker processes, zero-copy blocks",
         "yes",
         "yes",
     ),
     (
-        "bsp",
-        "BSPEngine",
-        "supersteps: compute -> h-relation -> barrier",
-        "no",
-        "yes",
-    ),
-    (
         "contract",
+        "repro.check.contracts",
         "ContractCheckingEngine",
         "serial + purity-contract certificate",
         "no",
@@ -90,6 +90,17 @@ ENGINE_REGISTRY = (
 )
 
 ENGINE_CHOICES = [name for name, *_ in ENGINE_REGISTRY]
+
+
+def _add_barriers_arg(parser) -> None:
+    """The BSP view shared by ``compute`` and ``gantt``."""
+    parser.add_argument(
+        "--barriers",
+        action="store_true",
+        help="show the simulated schedule as BSP supersteps (barriers "
+        "'=' distinct from the shuffle's h-relation '~') and print the "
+        "rounds/replication cost line",
+    )
 
 
 def _add_fault_args(parser) -> None:
@@ -159,11 +170,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--engine",
         default="serial",
         choices=ENGINE_CHOICES,
-        help="execution engine for the MapReduce runtime ('bsp' runs "
-        "superstep programs with cost-frontier accounting, 'contract' "
+        help="execution engine for the MapReduce runtime ('contract' "
         "runs serially while asserting purity/determinism contracts; "
         "see `repro-skyline list --engines`)",
     )
+    _add_barriers_arg(compute)
     compute.add_argument(
         "--workers",
         type=int,
@@ -236,13 +247,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gantt.add_argument("--seed", type=int, default=0)
     gantt.add_argument("--nodes", type=int, default=13)
     gantt.add_argument("--width", type=int, default=64)
-    gantt.add_argument(
-        "--engine",
-        default="serial",
-        choices=ENGINE_CHOICES,
-        help="'bsp' renders the superstep view: barriers ('=') "
-        "distinct from the shuffle's h-relation ('~')",
-    )
+    gantt.add_argument("--engine", default="serial", choices=ENGINE_CHOICES)
+    _add_barriers_arg(gantt)
     gantt.add_argument("--workers", type=int, default=None)
     _add_fault_args(gantt)
 
@@ -386,42 +392,40 @@ def _fault_plan(args) -> Optional[FaultPlan]:
     )
 
 
-def _make_engine(name: str, workers: Optional[int], args, bus=None):
-    faults = _fault_plan(args)
-    max_attempts = args.max_attempts
-    if max_attempts is None:
-        # Hadoop's default budget, stretched if the plan needs more.
-        max_attempts = max(4, faults.min_attempts()) if faults else 1
-    retry = RetryPolicy(max_attempts=max_attempts)
-    kwargs = dict(
-        retry=retry, faults=faults, speculative=args.speculative, bus=bus
+def _make_engine(name: str, workers: Optional[int], args=None, bus=None):
+    """Build engine ``name`` from :data:`ENGINE_REGISTRY`.
+
+    ``args`` carries the fault flags of ``compute`` and ``gantt``
+    (``serve`` has none). A plain serial run returns ``None``: the
+    algorithm's default SerialEngine.
+    """
+    kwargs = {"bus": bus}
+    customised = bus is not None
+    if args is not None:
+        faults = _fault_plan(args)
+        max_attempts = args.max_attempts
+        if max_attempts is None:
+            # Hadoop's default budget, stretched if the plan needs more.
+            max_attempts = max(4, faults.min_attempts()) if faults else 1
+        kwargs.update(
+            retry=RetryPolicy(max_attempts=max_attempts),
+            faults=faults,
+            speculative=args.speculative,
+        )
+        customised = bool(
+            customised
+            or faults is not None
+            or args.speculative
+            or args.max_attempts
+        )
+    if name == "serial" and not customised:
+        return None
+    module, cls = next(
+        (module, cls) for key, module, cls, *_ in ENGINE_REGISTRY if key == name
     )
-    if name == "threads":
-        from repro.mapreduce.parallel import ThreadPoolEngine
-
-        return ThreadPoolEngine(max_workers=workers, **kwargs)
-    if name == "processes":
-        from repro.mapreduce.parallel import ProcessPoolEngine
-
-        return ProcessPoolEngine(max_workers=workers, **kwargs)
-    if name == "bsp":
-        from repro.bsp import BSPEngine
-
-        return BSPEngine(**kwargs)
-    if name == "contract":
-        from repro.check.contracts import ContractCheckingEngine
-
-        return ContractCheckingEngine(**kwargs)
-    if (
-        faults is not None
-        or args.speculative
-        or args.max_attempts
-        or bus is not None
-    ):
-        from repro.mapreduce.engine import SerialEngine
-
-        return SerialEngine(**kwargs)
-    return None  # algorithm default: SerialEngine
+    if name in ("threads", "processes"):
+        kwargs["max_workers"] = workers
+    return getattr(importlib.import_module(module), cls)(**kwargs)
 
 
 def _cmd_compute(args) -> int:
@@ -478,22 +482,18 @@ def _cmd_compute(args) -> int:
         print(f"  #{result.indices[i]}: [{row}]")
     if len(result) > args.show:
         print(f"  ... and {len(result) - args.show} more")
-    cost = getattr(engine, "cost", None)
-    if cost is not None and cost.rounds:
-        print(f"bsp cost: {cost.describe()}")
+    if args.barriers:
+        print(f"cost: {CostReport.from_jobs(result.stats.jobs).describe()}")
     if args.trace_out:
+        from repro.mapreduce.trace import schedule_spans
         from repro.obs import write_chrome_trace
-
-        if args.engine == "bsp":
-            # Superstep-structured simulated clock: barriers visible.
-            from repro.bsp import bsp_schedule_spans as simulated_spans
-        else:
-            from repro.mapreduce.trace import schedule_spans as simulated_spans
 
         write_chrome_trace(
             args.trace_out,
             {
-                "simulated": simulated_spans(cluster, result.stats.jobs),
+                "simulated": schedule_spans(
+                    cluster, result.stats.jobs, barriers=args.barriers
+                ),
                 "wall": tracer.wall_spans(),
             },
         )
@@ -615,15 +615,16 @@ def _cmd_gantt(args) -> int:
         f"{args.algorithm}: skyline {len(result)}, "
         f"simulated {result.runtime_s:.3f}s\n"
     )
-    if args.engine == "bsp":
-        from repro.bsp import render_bsp_gantt
-
-        print(render_bsp_gantt(cluster, result.stats.jobs, width=args.width))
-        print(f"\nbsp cost: {engine.cost.describe()}")
-    else:
-        print(
-            render_pipeline_gantt(cluster, result.stats.jobs, width=args.width)
+    print(
+        render_pipeline_gantt(
+            cluster,
+            result.stats.jobs,
+            width=args.width,
+            barriers=args.barriers,
         )
+    )
+    if args.barriers:
+        print(f"\ncost: {CostReport.from_jobs(result.stats.jobs).describe()}")
     return 0
 
 
@@ -668,26 +669,6 @@ def _cmd_check(args) -> int:
     return 1 if violations else 0
 
 
-def _serve_engine(name: str, workers: Optional[int]):
-    if name == "threads":
-        from repro.mapreduce.parallel import ThreadPoolEngine
-
-        return ThreadPoolEngine(max_workers=workers)
-    if name == "processes":
-        from repro.mapreduce.parallel import ProcessPoolEngine
-
-        return ProcessPoolEngine(max_workers=workers)
-    if name == "bsp":
-        from repro.bsp import BSPEngine
-
-        return BSPEngine()
-    if name == "contract":
-        from repro.check.contracts import ContractCheckingEngine
-
-        return ContractCheckingEngine()
-    return None  # SkylineIndex default: SerialEngine
-
-
 def _render_serve_report(report: dict) -> str:
     ops = report["ops"]
     shards = report.get("shards", 1)
@@ -724,7 +705,7 @@ def _cmd_serve(args) -> int:
 
     from repro.serve.workloads import resolve_workload, run_workload
 
-    engine = _serve_engine(args.engine, args.workers)
+    engine = _make_engine(args.engine, args.workers)
     fleet = bool(
         args.fleet
         or (args.trace_out and args.shards is not None and args.shards > 1)
@@ -849,7 +830,7 @@ def _cmd_list(args) -> int:
         print("engines:")
         header = f"  {'name':10s} {'class':24s} {'shm':4s} {'faults':7s} execution model"
         print(header)
-        for name, cls, model, shm, faults in ENGINE_REGISTRY:
+        for name, _module, cls, model, shm, faults in ENGINE_REGISTRY:
             print(f"  {name:10s} {cls:24s} {shm:4s} {faults:7s} {model}")
     print("experiments:")
     for name in sorted(EXPERIMENTS):

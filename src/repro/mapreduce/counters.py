@@ -139,53 +139,12 @@ def tenant_counter(tenant: str, field: str) -> str:
     return f"serve.tenant.{tenant}.{field}"
 
 
-#: BSP cost-model counters (:mod:`repro.bsp`), charged on the engine's
-#: own bag — never into job stats, which must stay byte-identical
-#: across engines. ``max_reducer_input_records`` is a monotone
-#: high-water mark (charged by delta), everything else is additive.
-COST_ROUNDS = "mr.cost.rounds"
-COST_SUPERSTEPS = "mr.cost.supersteps"
-COST_BARRIERS = "mr.cost.barriers"
-COST_SOURCE_RECORDS = "mr.cost.source_records"
-COST_DELIVERED_RECORDS = "mr.cost.delivered_records"
-COST_DELIVERED_BYTES = "mr.cost.delivered_bytes"
-COST_MAX_REDUCER_INPUT = "mr.cost.max_reducer_input_records"
-
-#: Per-superstep h-relation counters are a *family*: one counter per
-#: ``(superstep, field)`` pair, named through :func:`cost_counter` —
-#: superstep indices are execution data, not vocabulary, exactly like
-#: tenant ids in the ``serve.tenant.<tenant>.*`` family.
-COST_SUPERSTEP_FIELDS = ("h_records", "h_bytes")
-
-#: The documented placeholder spellings of the per-superstep family.
-COST_SUPERSTEP_H_RECORDS = "mr.cost.superstep.<step>.h_records"
-COST_SUPERSTEP_H_BYTES = "mr.cost.superstep.<step>.h_bytes"
-
-
-def cost_counter(step: int, field: str) -> str:
-    """Dotted per-superstep counter name: ``mr.cost.superstep.<step>.<field>``.
-
-    ``field`` must come from :data:`COST_SUPERSTEP_FIELDS`; ``step`` is
-    the engine's global superstep index (execution data). Centralising
-    the spelling keeps every charge site inside the documented family.
-    """
-    if field not in COST_SUPERSTEP_FIELDS:
-        raise ValidationError(
-            f"cost counter field must be one of "
-            f"{COST_SUPERSTEP_FIELDS}, got {field!r}"
-        )
-    step = int(step)
-    if step < 0:
-        raise ValidationError(f"superstep index must be >= 0, got {step}")
-    return f"mr.cost.superstep.{step}.{field}"
-
-
 #: Builder functions whose return values are instances of a documented
 #: counter family. The REP003 lint accepts ``Counters.inc(<builder>(…))``
 #: charge sites for exactly these callees — any other computed name is
 #: flagged, so dynamic counters can't silently drift out of the
 #: documented vocabulary.
-COUNTER_FAMILY_BUILDERS = ("tenant_counter", "cost_counter")
+COUNTER_FAMILY_BUILDERS = ("tenant_counter",)
 
 
 def counter_family_regexes() -> Dict[str, Pattern[str]]:
@@ -301,35 +260,5 @@ COUNTER_DOCS = {
     SERVE_TENANT_TIMED_OUT: (
         "Queries dropped for one tenant because their wait reached "
         "the timeout (at admission or in queue)."
-    ),
-    COST_ROUNDS: (
-        "MapReduce rounds (jobs) the BSP engine executed for the "
-        "pipeline (the round count of the rounds/replication frontier)."
-    ),
-    COST_SUPERSTEPS: "BSP supersteps executed (two per MapReduce round).",
-    COST_BARRIERS: "BSP barrier synchronisations reached.",
-    COST_SOURCE_RECORDS: (
-        "Distinct source records entering communication phases "
-        "(the denominator of the Afrati replication rate)."
-    ),
-    COST_DELIVERED_RECORDS: (
-        "Record copies delivered through communication phases "
-        "(the numerator of the Afrati replication rate)."
-    ),
-    COST_DELIVERED_BYTES: (
-        "Bytes of record copies delivered through communication phases."
-    ),
-    COST_MAX_REDUCER_INPUT: (
-        "Largest reduce-peer input observed (records) — the reducer "
-        "memory bound q; a monotone high-water mark, charged by delta."
-    ),
-    COST_SUPERSTEP_H_RECORDS: (
-        "h-relation record degree of one superstep: max over peers of "
-        "max(records sent, records received) (per-superstep family; "
-        "names produced by cost_counter())."
-    ),
-    COST_SUPERSTEP_H_BYTES: (
-        "h-relation byte degree of one superstep: max over peers of "
-        "max(bytes sent, bytes received)."
     ),
 }

@@ -25,13 +25,15 @@ import time
 from collections import OrderedDict
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from repro.core.pointset import PointSet
 from repro.errors import TaskFailedError, ValidationError
 from repro.mapreduce import counters as counter_names
 from repro.mapreduce.faults import FaultPlan, RetryPolicy
 from repro.mapreduce.job import JobResult, MapReduceJob
 from repro.mapreduce.metrics import AttemptRecord, JobStats, TaskStats
-from repro.mapreduce.sizes import payload_size
+from repro.mapreduce.sizes import payload_size, payload_units
 from repro.mapreduce.types import (
     KeyValue,
     TaskContext,
@@ -48,15 +50,9 @@ from repro.obs.events import (
     SpeculationLaunched,
     TaskAttemptEnd,
     TaskAttemptStart,
+    bus_active,
     replay_task_events,
 )
-
-
-def _bus_active(bus) -> bool:
-    """One cheap guard for every emission site: the telemetry layer's
-    documented overhead budget requires that no event object is even
-    constructed unless a subscriber is attached."""
-    return bus is not None and bus.active
 
 
 def _sorted_keys(keys) -> List:
@@ -123,7 +119,7 @@ def attempt_task(
     last_error = None
     for attempt in range(retry.max_attempts):
         node = faults.node_of(task_id) if faults is not None else None
-        if _bus_active(bus):
+        if bus_active(bus):
             bus.emit(
                 TaskAttemptStart(
                     job=job, task_id=str(task_id), attempt=attempt, node=node
@@ -147,7 +143,7 @@ def attempt_task(
                 node=node,
             )
             attempts.append(record)
-            if _bus_active(bus):
+            if bus_active(bus):
                 bus.emit(
                     FaultInjected(
                         job=job,
@@ -186,7 +182,7 @@ def attempt_task(
                 node=node,
             )
             attempts.append(record)
-            if _bus_active(bus):
+            if bus_active(bus):
                 bus.emit(
                     TaskAttemptEnd(
                         job=job,
@@ -223,7 +219,7 @@ def attempt_task(
                 node=node,
             )
         )
-        if _bus_active(bus):
+        if bus_active(bus):
             bus.emit(
                 TaskAttemptEnd(
                     job=job,
@@ -256,7 +252,7 @@ def _speculate(
     backup_node = (
         (node + 1) % faults.num_nodes if node is not None else None
     )
-    if _bus_active(bus):
+    if bus_active(bus):
         bus.emit(
             SpeculationLaunched(
                 job=job,
@@ -302,7 +298,7 @@ def _speculate(
                 node=node,
             )
         )
-        if _bus_active(bus):
+        if bus_active(bus):
             failed_backup, straggler = attempts[-2], attempts[-1]
             bus.emit(
                 TaskAttemptEnd(
@@ -346,7 +342,7 @@ def _speculate(
             node=backup_node,
         )
     )
-    if _bus_active(bus):
+    if bus_active(bus):
         killed, winner = attempts[-2], attempts[-1]
         bus.emit(
             TaskAttemptEnd(
@@ -460,8 +456,11 @@ def finish_map_task(
     task_id: TaskId, ctx: TaskContext, output: List[KeyValue],
     records_in: int, duration: float, attempts=(),
 ) -> TaskStats:
-    """Charge per-task counters and byte accounting for one map task."""
-    bytes_out = sum(payload_size(k) + payload_size(v) for k, v in output)
+    """Charge per-task counters for one map task.
+
+    Its ``bytes_out`` is charged by the shuffle, which sizes every
+    record it routes anyway (:meth:`SerialEngine._shuffle`).
+    """
     ctx.counters.inc(counter_names.RECORDS_IN, records_in)
     ctx.counters.inc(counter_names.RECORDS_OUT, len(output))
     _charge_attempt_counters(ctx, attempts)
@@ -470,7 +469,7 @@ def finish_map_task(
         duration_s=duration,
         records_in=records_in,
         records_out=len(output),
-        bytes_out=bytes_out,
+        bytes_out=0,
         counters=ctx.counters,
         attempts=list(attempts),
     )
@@ -500,8 +499,7 @@ def finish_reduce_task(
 def partition_index(job, key, n: int) -> int:
     """One validated partitioner probe: which reducer gets ``key``.
 
-    Shared by the shuffle and the BSP communication phase so both route
-    identically. A negative index would silently wrap to the wrong
+    A negative index would silently wrap to the wrong
     reducer and an index >= num_reducers would raise a bare IndexError
     — both are configuration bugs worth naming.
     """
@@ -520,16 +518,6 @@ def partition_index(job, key, n: int) -> int:
             f"outside [0, {n})"
         )
     return index
-
-
-def shuffle_outputs(job, map_outputs: List[List[KeyValue]]) -> List[List[KeyValue]]:
-    """Partition map outputs into per-reducer buckets."""
-    n = job.num_reducers
-    buckets: List[List[KeyValue]] = [[] for _ in range(n)]
-    for output in map_outputs:
-        for key, value in output:
-            buckets[partition_index(job, key, n)].append((key, value))
-    return buckets
 
 
 class SerialEngine:
@@ -649,7 +637,7 @@ class SerialEngine:
     # -- telemetry ------------------------------------------------------
 
     def _emit_job_start(self, job) -> None:
-        if not _bus_active(self.bus):
+        if not bus_active(self.bus):
             return
         self.bus.emit(
             JobStart(
@@ -666,45 +654,25 @@ class SerialEngine:
             )
         )
 
-    def _emit_shuffle(self, job, buckets) -> None:
-        if not _bus_active(self.bus):
-            return
-        # Per-partition byte sizing is the one genuinely expensive probe
-        # (payload_size per record), so it only ever runs on this
-        # subscriber-attached path.
-        partition_bytes = tuple(
-            sum(payload_size(k) + payload_size(v) for k, v in bucket)
-            for bucket in buckets
-        )
-        self.bus.emit(
-            Shuffle(
-                job=job.name,
-                partition_records=tuple(len(b) for b in buckets),
-                partition_bytes=partition_bytes,
-                total_bytes=sum(partition_bytes),
-            )
-        )
-
     def _emit_job_end(self, stats: JobStats) -> None:
-        if _bus_active(self.bus):
+        if bus_active(self.bus):
             self.bus.emit(JobEnd(job=stats.job_name, stats=stats))
 
     # -- phase aggregation ----------------------------------------------
 
     def _collect_maps(self, stats: JobStats, map_results) -> List[List[KeyValue]]:
-        replay = not self._live_task_events and _bus_active(self.bus)
+        replay = not self._live_task_events and bus_active(self.bus)
         map_outputs: List[List[KeyValue]] = []
         for task_stats, output in map_results:
             if replay:
                 replay_task_events(self.bus, stats.job_name, task_stats)
             stats.map_tasks.append(task_stats)
             stats.counters.merge(task_stats.counters)
-            stats.shuffle_bytes += task_stats.bytes_out
             map_outputs.append(output)
         return map_outputs
 
     def _collect_reduces(self, stats: JobStats, reduce_results) -> List[List[KeyValue]]:
-        replay = not self._live_task_events and _bus_active(self.bus)
+        replay = not self._live_task_events and bus_active(self.bus)
         reducer_outputs: List[List[KeyValue]] = []
         for task_stats, output in reduce_results:
             if replay:
@@ -715,6 +683,59 @@ class SerialEngine:
         stats.counters.inc(counter_names.SHUFFLE_BYTES, stats.shuffle_bytes)
         return reducer_outputs
 
+    def _shuffle(
+        self, job, stats: JobStats, map_outputs: List[List[KeyValue]]
+    ) -> List[List[KeyValue]]:
+        """Route map outputs into per-reducer buckets and measure the
+        exchange onto ``stats``; every engine shuffles here.
+
+        Buckets fill in mapper-major order through the validated
+        :func:`partition_index` probe. Each record is sized once: the
+        bytes charge the sending map task's ``bytes_out``, the job's
+        ``shuffle_bytes`` and the receiving reducer. The rest of the
+        measurement is what :meth:`repro.bsp.cost.CostReport.from_jobs`
+        folds into rounds and replication: logical records
+        (:func:`payload_units`) sent per map task and received per
+        reducer, and distinct source records — point ids deduplicated
+        per map task, so a partition skyline routed to three groups
+        counts three copies of one source.
+        """
+        n = job.num_reducers
+        buckets: List[List[KeyValue]] = [[] for _ in range(n)]
+        received_records = [0] * n
+        received_bytes = [0] * n
+        for task, output in zip(stats.map_tasks, map_outputs):
+            ids: List[np.ndarray] = []
+            sent = 0
+            for key, value in output:
+                dest = partition_index(job, key, n)
+                units = payload_units(value, ids)
+                size = payload_size(key) + payload_size(value)
+                sent += units
+                task.bytes_out += size
+                received_records[dest] += units
+                received_bytes[dest] += size
+                buckets[dest].append((key, value))
+            stats.shuffle_bytes += task.bytes_out
+            stats.sent_records.append(sent)
+            stats.source_records += sent
+            if ids:
+                # Id-carrying records count once per distinct point.
+                id_array = np.concatenate(ids)
+                stats.source_records -= id_array.size - np.unique(id_array).size
+        stats.received_records = received_records
+        stats.received_bytes = received_bytes
+        if bus_active(self.bus):
+            self.bus.emit(
+                Shuffle(
+                    job=job.name,
+                    partition_records=tuple(len(b) for b in buckets),
+                    partition_bytes=tuple(received_bytes),
+                    total_bytes=sum(received_bytes),
+                )
+            )
+        return buckets
+
     def run(self, job: MapReduceJob) -> JobResult:
         job.validate()
         stats = JobStats(job_name=job.name)
@@ -724,8 +745,7 @@ class SerialEngine:
         map_results = [self._map_task(job, split) for split in job.splits]
         map_outputs = self._collect_maps(stats, map_results)
 
-        buckets = shuffle_outputs(job, map_outputs)
-        self._emit_shuffle(job, buckets)
+        buckets = self._shuffle(job, stats, map_outputs)
 
         reduce_results = [
             self._reduce_task(job, r, buckets[r])

@@ -30,7 +30,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, Type
 
-from repro.errors import JobError, ValidationError
+from repro.errors import AlgorithmError, JobError, ValidationError
 from repro.mapreduce.types import TaskId
 
 
@@ -173,10 +173,13 @@ class FaultPlan:
         }
 
 
-#: Error types a retry cannot fix: configuration and programming bugs.
-#: Retrying these burns attempts and masks the real defect.
+#: Error types a retry cannot fix: configuration and programming bugs,
+#: and deterministic algorithm preconditions (MR-Bitmap's distinct-value
+#: limit fails identically on every attempt). Retrying these burns
+#: attempts and masks the real defect.
 NON_RETRYABLE_ERRORS: Tuple[Type[BaseException], ...] = (
     ValidationError,
+    AlgorithmError,
     NotImplementedError,
     AssertionError,
     TypeError,

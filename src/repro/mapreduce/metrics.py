@@ -91,6 +91,16 @@ class JobStats:
     shuffle_bytes: int = 0
     broadcast_bytes: int = 0
     counters: Counters = field(default_factory=Counters)
+    #: The shuffle's exchange, measured once by every engine; the input
+    #: of :meth:`repro.bsp.cost.CostReport.from_jobs`. Distinct source
+    #: records (point ids deduplicated per map task, plus one per id-less
+    #: record), logical records sent by each map task, and records and
+    #: bytes received by each reducer. Bytes sent by map task ``i`` are
+    #: ``map_tasks[i].bytes_out``.
+    source_records: int = 0
+    sent_records: List[int] = field(default_factory=list)
+    received_records: List[int] = field(default_factory=list)
+    received_bytes: List[int] = field(default_factory=list)
 
     @property
     def num_map_tasks(self) -> int:

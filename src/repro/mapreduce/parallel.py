@@ -51,13 +51,12 @@ from repro.mapreduce.engine import (
     execute_reduce_attempt,
     finish_map_task,
     finish_reduce_task,
-    shuffle_outputs,
 )
 from repro.mapreduce.faults import FaultPlan, RetryPolicy
 from repro.mapreduce.job import JobResult, MapReduceJob
 from repro.mapreduce.metrics import JobStats, TaskStats
 from repro.mapreduce.types import KeyValue, TaskId
-from repro.obs.events import ShmArenaRetired, ShmBlocksShared
+from repro.obs.events import ShmArenaRetired, ShmBlocksShared, bus_active
 
 
 class ThreadPoolEngine(SerialEngine):
@@ -102,8 +101,7 @@ class ThreadPoolEngine(SerialEngine):
             )
             map_outputs = self._collect_maps(stats, map_results)
 
-            buckets = shuffle_outputs(job, map_outputs)
-            self._emit_shuffle(job, buckets)
+            buckets = self._shuffle(job, stats, map_outputs)
 
             reduce_results = list(
                 pool.map(
@@ -340,7 +338,7 @@ class ProcessPoolEngine(SerialEngine):
         segments = len(arena.names)
         arena.unlink()
         self.shm_counters.inc(SHM_SEGMENTS_UNLINKED, segments)
-        if self.bus is not None and self.bus.active:
+        if bus_active(self.bus):
             self.bus.emit(
                 ShmArenaRetired(
                     job=self._arena_job or "?", segments=segments
@@ -426,7 +424,7 @@ class ProcessPoolEngine(SerialEngine):
                 )
                 self.shm_counters.inc(SHM_BLOCKS_SHARED, arena.blocks_shared)
                 self.shm_counters.inc(SHM_BYTES_SHARED, arena.bytes_shared)
-                if self.bus is not None and self.bus.active:
+                if bus_active(self.bus):
                     self.bus.emit(
                         ShmBlocksShared(
                             job=job.name,
@@ -458,8 +456,7 @@ class ProcessPoolEngine(SerialEngine):
             map_results = self._dispatch(pool, spec, "map", splits, keep)
             t2 = perf_counter()
             map_outputs = self._collect_maps(stats, map_results)
-            buckets = shuffle_outputs(job, map_outputs)
-            self._emit_shuffle(job, buckets)
+            buckets = self._shuffle(job, stats, map_outputs)
             self.last_phases["collect_s"] += perf_counter() - t2
 
             reduce_items = [(r, buckets[r]) for r in range(job.num_reducers)]

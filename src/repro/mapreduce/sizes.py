@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import pickle
-from typing import Any, Optional
+from typing import Any, List, Optional
 
 import numpy as np
 
@@ -71,21 +71,27 @@ def payload_size(value: Any) -> int:
         return 64  # opaque object; charge a flat token
 
 
-def payload_units(value: Any) -> int:
+def payload_units(value: Any, ids: List[np.ndarray]) -> int:
     """Logical record (tuple) count of a shuffled value.
 
-    The unit of the BSP cost model's replication accounting: a columnar
+    The unit of the shuffle's replication accounting: a columnar
     :class:`PointSet` carries one record per point, containers carry
     the sum of their members, and any scalar payload counts as one
     record. Deterministic and O(structure), like :func:`payload_size`.
+
+    The same walk appends the id array of every :class:`PointSet`
+    inside ``value`` to ``ids`` — the source half of the accounting:
+    the caller deduplicates the ids of everything one map task sends,
+    and every id-less record counts as its own source.
     """
     if isinstance(value, PointSet):
-        return len(value)
-    if isinstance(value, (tuple, list, set, frozenset)):
-        return sum(payload_units(v) for v in value)
+        ids.append(value.ids)
+        return len(value.ids)
     if isinstance(value, dict):
-        return sum(payload_units(v) for v in value.values())
-    return 1
+        value = value.values()
+    elif not isinstance(value, (tuple, list, set, frozenset)):
+        return 1
+    return sum([payload_units(v, ids) for v in value])
 
 
 def _structural_size(value: Any) -> Optional[int]:

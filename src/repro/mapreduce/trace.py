@@ -7,13 +7,14 @@ costs what it costs (and tests can pin the scheduler's behaviour).
 
 ``build_schedule`` replays the same greedy least-loaded-slot policy as
 :func:`repro.mapreduce.cluster.schedule_makespan`, so the derived
-makespan is identical by construction (tested).
+makespan is identical by construction (tested). With ``barriers`` the
+same schedule renders as BSP supersteps, barriers visible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ValidationError
 from repro.mapreduce.cluster import SimulatedCluster
@@ -138,77 +139,142 @@ def build_schedule(cluster: SimulatedCluster, stats: JobStats) -> JobSchedule:
     )
 
 
-def _schedule_track_order(schedule: JobSchedule) -> List[str]:
-    """Track names in presentation order: map slots, shuffle, reduce
-    slots — matching phase order."""
+def _schedule_track_order(
+    schedule: JobSchedule, barriers: bool = False
+) -> List[str]:
+    """Track names in presentation order: map slots, shuffle (or the
+    ``comm`` and ``barrier`` tracks of the barrier view), reduce slots
+    — matching phase order."""
     tracks: List[str] = []
     for phase in schedule.phases:
         if phase.phase == "shuffle":
-            tracks.append("shuffle")
+            tracks.extend(("comm", "barrier") if barriers else ("shuffle",))
             continue
         for slot in sorted({t.slot for t in phase.tasks}):
             tracks.append(f"{phase.phase}-slot-{slot}")
     return tracks
 
 
+def _barrier_span(job: str, superstep: int, start_s: float, end_s: float) -> Span:
+    return Span(
+        name=f"{job} barrier {superstep}",
+        track="barrier",
+        start_s=start_s,
+        end_s=end_s,
+        category="barrier",
+        args={"job": job, "superstep": superstep},
+    )
+
+
 def _schedule_to_spans(
-    schedule: JobSchedule, offset: float = 0.0
-) -> List[Span]:
-    """One :class:`~repro.obs.spans.Span` per scheduled attempt unit.
+    schedule: JobSchedule,
+    offset: float = 0.0,
+    barrier_s: Optional[float] = None,
+) -> Tuple[List[Span], float]:
+    """One :class:`~repro.obs.spans.Span` per scheduled attempt unit,
+    plus the view's makespan.
 
     The single simulated-clock source for both renderers: the ASCII
     Gantt and the Chrome-trace export draw these same spans, so the two
     views cannot drift apart.
+
+    ``barrier_s`` switches on the barrier view. Pace ("BSP vs
+    MapReduce") maps each job onto two supersteps, map and reduce, each
+    closed by a global barrier. The shuffle renders as the map
+    superstep's ``comm`` h-relation, each barrier as a ``barrier`` span
+    of ``barrier_s`` seconds, and the reduce wave shifts right by the
+    first barrier.
     """
+    job = schedule.job_name
     spans: List[Span] = []
+    shift = 0.0
     for phase in schedule.phases:
         if phase.phase == "shuffle":
+            if barrier_s is None:
+                name, track, args = f"{job} shuffle", "shuffle", {"job": job}
+            else:
+                name, track = f"{job} h-relation", "comm"
+                args = {"job": job, "superstep": 0}
             spans.append(
                 Span(
-                    name=f"{schedule.job_name} shuffle",
-                    track="shuffle",
+                    name=name,
+                    track=track,
                     start_s=offset + phase.start_s,
                     end_s=offset + phase.end_s,
                     category="shuffle",
-                    args={"job": schedule.job_name},
+                    args=args,
                 )
             )
+            if barrier_s is not None:
+                spans.append(
+                    _barrier_span(
+                        job,
+                        0,
+                        offset + phase.end_s,
+                        offset + (phase.end_s + barrier_s),
+                    )
+                )
+                shift = barrier_s
             continue
         for task in phase.tasks:
+            args = {"job": job, "phase": phase.phase}
+            if barrier_s is not None:
+                args["superstep"] = 0 if phase.phase == "map" else 1
             spans.append(
                 Span(
                     name=task.name,
                     track=f"{phase.phase}-slot-{task.slot}",
-                    start_s=offset + task.start_s,
-                    end_s=offset + task.end_s,
+                    start_s=offset + shift + task.start_s,
+                    end_s=offset + shift + task.end_s,
                     outcome=task.outcome,
-                    args={"job": schedule.job_name, "phase": phase.phase},
+                    args=args,
                 )
             )
-    return spans
+    if barrier_s is None:
+        return spans, schedule.makespan_s
+    end = shift + schedule.makespan_s
+    spans.append(_barrier_span(job, 1, offset + end, offset + end + barrier_s))
+    return spans, end + barrier_s
+
+
+def _barrier_s(cluster: SimulatedCluster, barriers: bool) -> Optional[float]:
+    """A barrier is charged one ``task_overhead_s`` of synchronisation,
+    the per-task coordination charge the cluster model already uses."""
+    return cluster.task_overhead_s if barriers else None
 
 
 def schedule_spans(
-    cluster: SimulatedCluster, jobs: Sequence[JobStats]
+    cluster: SimulatedCluster,
+    jobs: Sequence[JobStats],
+    barriers: bool = False,
 ) -> List[Span]:
     """Simulated-clock spans of a job chain, laid out back to back.
 
     Each job starts where the previous one's makespan ended (jobs in a
     chain run strictly sequentially), one track per simulated slot plus
-    the shuffle track. This is the ``"simulated"`` clock of the Chrome
-    trace written by ``repro-skyline compute --trace-out``.
+    the shuffle track (``barriers``: the ``comm`` and ``barrier``
+    tracks). This is the ``"simulated"`` clock of the Chrome trace
+    written by ``repro-skyline compute --trace-out``.
     """
     spans: List[Span] = []
     offset = 0.0
     for stats in jobs:
-        schedule = build_schedule(cluster, stats)
-        spans.extend(_schedule_to_spans(schedule, offset))
-        offset += schedule.makespan_s
+        job_spans, makespan = _schedule_to_spans(
+            build_schedule(cluster, stats),
+            offset,
+            _barrier_s(cluster, barriers),
+        )
+        spans.extend(job_spans)
+        offset += makespan
     return spans
 
 
 def render_gantt(
-    schedule: JobSchedule, width: int = 64, min_label: int = 14
+    schedule: JobSchedule,
+    width: int = 64,
+    min_label: int = 14,
+    barrier_s: Optional[float] = None,
+    superstep: int = 0,
 ) -> str:
     """Plain-text Gantt chart of a job schedule.
 
@@ -219,33 +285,54 @@ def render_gantt(
     render empty rather than pretending to occupy a column. Column
     painting is half-open: a task ending at time ``t`` and a task
     starting at ``t`` never share a cell.
+
+    ``barrier_s`` renders the barrier view (see
+    :func:`_schedule_to_spans`): barriers as ``=`` cells, the job's
+    supersteps numbered from ``superstep``.
     """
     if width < 8:
         raise ValidationError(f"width must be >= 8, got {width}")
-    total = schedule.makespan_s
+    spans, total = _schedule_to_spans(schedule, barrier_s=barrier_s)
     if total <= 0:
         return f"{schedule.job_name}: empty schedule"
-    lines = [
-        f"{schedule.job_name}: simulated makespan {total:.3f}s "
-        f"(1 col = {total / width:.4f}s)"
-    ]
-    lines.extend(
-        render_span_rows(
-            _schedule_to_spans(schedule),
-            _schedule_track_order(schedule),
-            total,
-            width,
-            min_label=min_label,
+    if barrier_s is None:
+        header = (
+            f"{schedule.job_name}: simulated makespan {total:.3f}s "
+            f"(1 col = {total / width:.4f}s)"
         )
+    else:
+        header = (
+            f"{schedule.job_name}: supersteps {superstep}-{superstep + 1}, "
+            f"simulated makespan {total:.3f}s "
+            f"(1 col = {total / width:.4f}s, barriers '=')"
+        )
+    rows = render_span_rows(
+        spans,
+        _schedule_track_order(schedule, barriers=barrier_s is not None),
+        total,
+        width,
+        min_label=min_label,
     )
-    return "\n".join(lines)
+    return "\n".join([header] + rows)
 
 
 def render_pipeline_gantt(
-    cluster: SimulatedCluster, jobs: Sequence[JobStats], width: int = 64
+    cluster: SimulatedCluster,
+    jobs: Sequence[JobStats],
+    width: int = 64,
+    barriers: bool = False,
 ) -> str:
-    """Gantt charts for a chain of jobs, back to back."""
-    parts = []
-    for stats in jobs:
-        parts.append(render_gantt(build_schedule(cluster, stats), width))
-    return "\n\n".join(parts)
+    """Gantt charts for a chain of jobs, back to back.
+
+    ``barriers`` renders each job as its two supersteps, numbered
+    across the chain, with the barriers visible.
+    """
+    return "\n\n".join(
+        render_gantt(
+            build_schedule(cluster, stats),
+            width,
+            barrier_s=_barrier_s(cluster, barriers),
+            superstep=2 * index,
+        )
+        for index, stats in enumerate(jobs)
+    )

@@ -422,6 +422,13 @@ class EventLog:
         return [e for e in self.events if e.kind == kind]
 
 
+def bus_active(bus: Optional[EventBus]) -> bool:
+    """One cheap guard for every emission site: the telemetry layer's
+    documented overhead budget requires that no event object is even
+    constructed unless a subscriber is attached."""
+    return bus is not None and bus.active
+
+
 def replay_task_events(bus: EventBus, job: Optional[str], task_stats) -> None:
     """Re-emit one task's attempt lifecycle from its recorded history.
 

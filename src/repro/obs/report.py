@@ -129,6 +129,7 @@ def build_report(
     its wall-clock ones under ``"wall"``. ``config`` carries
     caller-known context (CLI flags, workload spec, seeds).
     """
+    from repro.bsp import CostReport
     from repro.mapreduce.trace import build_schedule
 
     stats = result.stats
@@ -193,12 +194,10 @@ def build_report(
             else {},
         },
     }
-    # Engines with a cost model (the BSP engine) contribute the
-    # rounds/replication frontier. Deterministic — a pure function of
-    # job definitions and data — so it lives outside "wall".
-    cost = getattr(engine, "cost", None)
-    if cost is not None and getattr(cost, "rounds", 0):
-        report["cost"] = cost.as_dict()
+    # The rounds/replication frontier, folded from what each shuffle
+    # moved. Deterministic — a pure function of job definitions and
+    # data, identical under every engine — so it lives outside "wall".
+    report["cost"] = CostReport.from_jobs(stats.jobs).as_dict()
     return report
 
 

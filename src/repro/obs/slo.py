@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import ValidationError
+from repro.obs.report import _round
 
 SLO_KINDS = ("latency", "availability")
 
@@ -46,17 +47,16 @@ SLO_KINDS = ("latency", "availability")
 MAX_BURN_WINDOWS = 64
 
 
-def _round(value: float) -> float:
-    return round(float(value), 9)
-
-
 def exact_percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile (exact, deterministic)."""
+    """Exact order statistic (nearest-rank): no interpolation, so the
+    value is always one of the observed samples."""
     if not values:
         return 0.0
+    if not 0.0 <= q <= 1.0:
+        raise ValidationError(f"quantile must be in [0, 1], got {q}")
     ordered = sorted(values)
     rank = max(1, math.ceil(q * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
+    return ordered[rank - 1]
 
 
 @dataclass(frozen=True)

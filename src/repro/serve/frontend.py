@@ -75,6 +75,7 @@ from repro.obs.events import (
     ServeQueryServed,
     ServeQuotaUpdate,
     ServeTenantShed,
+    bus_active,
 )
 from repro.serve.cache import ResultCache
 from repro.serve.index import SkylineIndex
@@ -182,10 +183,6 @@ class QueryResponse:
     result_size: int = 0
     result: Optional[PointSet] = None
     tenant: str = DEFAULT_TENANT
-
-
-def _bus_active(bus) -> bool:
-    return bus is not None and bus.active
 
 
 class _ServingCore:
@@ -426,7 +423,7 @@ class QueryFrontend:
         )
         self.counters.inc(counter_names.SERVE_QUERIES)
         self.counters.inc(tenant_counter(tenant, "queries"))
-        if _bus_active(self.bus):
+        if bus_active(self.bus):
             self.bus.emit(
                 ServeQueryServed(
                     request_id=request_id,
@@ -464,7 +461,7 @@ class QueryFrontend:
             self.tracer.reject_query(
                 request_id, tenant, arrival_s, decided_s, reason
             )
-        if _bus_active(self.bus):
+        if bus_active(self.bus):
             self.bus.emit(
                 ServeQueryRejected(
                     request_id=request_id,
@@ -480,7 +477,7 @@ class QueryFrontend:
             return
         self._tenant_vc[tenant] = 0.0
         self._tenant_queued.setdefault(tenant, 0)
-        if _bus_active(self.bus):
+        if bus_active(self.bus):
             self.bus.emit(
                 ServeQuotaUpdate(
                     tenant=tenant,
@@ -509,7 +506,7 @@ class QueryFrontend:
                 return request_id
             queued = self._tenant_queued[tenant]
             if queued >= self._quota_slots:
-                if _bus_active(self.bus):
+                if bus_active(self.bus):
                     self.bus.emit(
                         ServeTenantShed(
                             request_id=request_id,
@@ -676,7 +673,7 @@ class ThreadedFrontend:
             self._next_request += 1
             if tenant not in self._tenant_queued:
                 self._tenant_queued[tenant] = 0
-                if _bus_active(self.bus):
+                if bus_active(self.bus):
                     self.bus.emit(
                         ServeQuotaUpdate(
                             tenant=tenant,
@@ -690,7 +687,7 @@ class ThreadedFrontend:
                 self._tenant_queued[tenant] = queued + 1
         arrival = time.perf_counter()
         if over_quota:
-            if _bus_active(self.bus):
+            if bus_active(self.bus):
                 self.bus.emit(
                     ServeTenantShed(
                         request_id=request_id,
@@ -765,7 +762,7 @@ class ThreadedFrontend:
                 self.responses.append(response)
                 self.counters.inc(counter_names.SERVE_QUERIES)
                 self.counters.inc(tenant_counter(tenant, "queries"))
-            if _bus_active(self.bus):
+            if bus_active(self.bus):
                 self.bus.emit(
                     ServeQueryServed(
                         request_id=request_id,
@@ -801,7 +798,7 @@ class ThreadedFrontend:
             self.responses.append(response)
             self.counters.inc(name)
             self.counters.inc(tenant_counter(tenant, field))
-        if _bus_active(self.bus):
+        if bus_active(self.bus):
             self.bus.emit(
                 ServeQueryRejected(
                     request_id=request_id,

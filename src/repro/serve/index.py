@@ -63,6 +63,7 @@ from repro.obs.events import (
     ServeBatchRefresh,
     ServeDeltaApplied,
     ServeDeltaBatch,
+    bus_active,
 )
 
 #: Algorithms the batch refresh may use: both expose the grid/bitstring
@@ -71,10 +72,6 @@ REFRESH_ALGORITHMS = ("mr-gpsrs", "mr-gpmrs")
 
 #: Default delta budget before a batch refresh re-fits the substrate.
 DEFAULT_STALENESS_BUDGET = 256
-
-
-def _bus_active(bus) -> bool:
-    return bus is not None and bus.active
 
 
 class SkylineIndex:
@@ -536,7 +533,7 @@ class SkylineIndex:
 
             self.epoch += 1
             self.deltas_since_refresh += len(ops)
-            if _bus_active(self.bus):
+            if bus_active(self.bus):
                 self.bus.emit(
                     ServeDeltaBatch(
                         ops=len(ops),
@@ -562,7 +559,7 @@ class SkylineIndex:
     ) -> None:
         self.epoch += 1
         self.deltas_since_refresh += 1
-        if _bus_active(self.bus):
+        if bus_active(self.bus):
             self.bus.emit(
                 ServeDeltaApplied(
                     op=op,
@@ -610,7 +607,7 @@ class SkylineIndex:
             self.deltas_since_refresh = 0
             self.refreshes += 1
             self.counters.inc(counter_names.SERVE_BATCH_REFRESHES)
-            if _bus_active(self.bus):
+            if bus_active(self.bus):
                 self.bus.emit(
                     ServeBatchRefresh(
                         epoch=self.epoch,

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.data.generators import generate
 from repro.errors import ValidationError
+from repro.obs.slo import exact_percentile
 from repro.serve.frontend import (
     DEFAULT_TENANT,
     QueryFrontend,
@@ -385,18 +386,6 @@ def replay(frontend: QueryFrontend, stream: OpStream) -> List[QueryResponse]:
         else:
             raise ValidationError(f"unknown op kind {kind!r}")
     return frontend.flush()
-
-
-def exact_percentile(samples: Sequence[float], q: float) -> float:
-    """Exact order statistic (nearest-rank): no interpolation, so the
-    value is always one of the observed samples."""
-    if not samples:
-        return 0.0
-    if not 0.0 <= q <= 1.0:
-        raise ValidationError(f"quantile must be in [0, 1], got {q}")
-    ordered = sorted(samples)
-    rank = max(1, math.ceil(q * len(ordered)))
-    return ordered[rank - 1]
 
 
 def build_serve_report(

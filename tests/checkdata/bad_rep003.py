@@ -1,7 +1,7 @@
 """Known-bad fixture: REP003 undocumented counter names."""
 
 from repro.mapreduce import counters as counter_names
-from repro.mapreduce.counters import cost_counter, tenant_counter
+from repro.mapreduce.counters import tenant_counter
 
 
 def mint(tenant):
@@ -20,8 +20,8 @@ class CountingThing:
         ctx.counters.inc("serve.tenant.t0.queries")  # family instance: fine
         ctx.counters.inc(tenant_counter(tenant, "shed"))  # builder: fine
         ctx.counters.inc(f"serve.tenant.{tenant}.timed_out")  # family: fine
-        ctx.counters.inc("mr.cost.rogue")  # <- REP003
-        ctx.counters.inc("mr.cost.superstep.3.bogus_field")  # <- REP003
-        ctx.counters.inc("mr.cost.rounds")  # documented: fine
-        ctx.counters.inc("mr.cost.superstep.3.h_records")  # family instance: fine
-        ctx.counters.inc(cost_counter(1, "h_bytes"))  # builder: fine
+        ctx.counters.inc("serve.rogue")  # <- REP003
+        ctx.counters.inc("serve.tenant.t3.bogus_field")  # <- REP003
+        ctx.counters.inc("serve.queries")  # documented: fine
+        ctx.counters.inc("serve.tenant.t3.timed_out")  # family instance: fine
+        ctx.counters.inc(tenant_counter("t1", "queries"))  # builder: fine

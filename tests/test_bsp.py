@@ -1,13 +1,11 @@
-"""The BSP superstep engine: compiler, cost model, and rendering.
+"""Rounds and replication as a view over job stats.
 
-Covers the superstep compiler's shape, byte-identity of BSP results to
-the serial engine, the cost model against a hand-computed two-group
-fixture (replication 4/3), the ``replication_rate >= 1`` property over
-random workloads, the monotone replication-vs-budget frontier, barrier
-rendering (ASCII ``=`` cells and the ``barrier`` Chrome-trace
-category), counter documentation of everything the engine charges, the
-run report's ``cost`` section, and the CLI surface
-(``list --engines``, ``compute --engine bsp``).
+Covers the cost model against a hand-computed two-group fixture
+(replication 4/3), the ``replication_rate >= 1`` property over random
+workloads, the monotone replication-vs-budget frontier, the barrier
+view of the schedule (ASCII ``=`` cells and the ``barrier``
+Chrome-trace category), the run report's ``cost`` section, and the CLI
+surface (``list --engines``, ``compute``/``gantt --barriers``).
 """
 
 import numpy as np
@@ -16,28 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import cli, skyline
-from repro.bsp import (
-    BSPEngine,
-    BSPProgram,
-    Superstep,
-    afrati_allpairs_bound,
-    bsp_schedule_spans,
-    compile_job,
-    compile_jobs,
-    render_bsp_gantt,
-)
+from repro.bsp import CostReport, afrati_allpairs_bound
 from repro.core.pointset import PointSet
 from repro.data.generators import generate
 from repro.errors import ValidationError
 from repro.mapreduce.cache import DistributedCache
 from repro.mapreduce.cluster import SimulatedCluster
-from repro.mapreduce.counters import (
-    COUNTER_DOCS,
-    matches_counter_family,
-)
 from repro.mapreduce.engine import SerialEngine
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.splits import kv_splits
+from repro.mapreduce.trace import render_pipeline_gantt, schedule_spans
 from repro.mapreduce.types import IdentityReducer, Mapper
 from repro.obs.spans import chrome_trace_events
 
@@ -71,45 +57,10 @@ def _two_group_job():
     )
 
 
-class TestCompiler:
-    def test_job_compiles_to_two_supersteps(self):
-        job = _two_group_job()
-        program = compile_job(job)
-        assert isinstance(program, BSPProgram)
-        assert program.num_supersteps == 2
-        assert program.num_barriers == 2
-        map_step, reduce_step = program.supersteps
-        assert map_step.phase == "map"
-        assert map_step.communicates
-        assert map_step.num_peers == len(job.splits)
-        assert reduce_step.phase == "reduce"
-        assert not reduce_step.communicates
-        assert reduce_step.num_peers == job.num_reducers
-        assert "two-groups" in program.describe()
-
-    def test_compile_jobs_chains_programs(self):
-        job = _two_group_job()
-        programs = compile_jobs([job, job])
-        assert [p.num_supersteps for p in programs] == [2, 2]
-
-    def test_superstep_validates_phase_and_peers(self):
-        with pytest.raises(ValidationError):
-            Superstep(
-                index=0, job_name="j", phase="sort", num_peers=1,
-                communicates=False,
-            )
-        with pytest.raises(ValidationError):
-            Superstep(
-                index=0, job_name="j", phase="map", num_peers=0,
-                communicates=True,
-            )
-
-
 class TestCostModel:
     def test_two_group_fixture_replicates_four_thirds(self):
-        engine = BSPEngine()
-        result = engine.run(_two_group_job())
-        cost = engine.cost
+        result = SerialEngine().run(_two_group_job())
+        cost = CostReport.from_jobs([result.stats])
         assert cost.rounds == 1
         assert cost.num_supersteps == 2
         assert cost.barriers == 2
@@ -127,38 +78,6 @@ class TestCostModel:
         assert reduce_cost.h_records == 0
         # every reducer got one group
         assert len(result.reducer_outputs) == 2
-
-    def test_cost_counters_charge_engine_bag_not_job_stats(self):
-        engine = BSPEngine()
-        result = engine.run(_two_group_job())
-        bag = engine.cost_counters.as_dict()
-        assert bag["mr.cost.rounds"] == 1
-        assert bag["mr.cost.delivered_records"] == 4
-        assert bag["mr.cost.superstep.0.h_records"] == 4
-        # job stats stay engine-agnostic: no cost names leak in
-        assert not any(
-            name.startswith("mr.cost.")
-            for name in result.stats.counters.as_dict()
-        )
-
-    def test_every_charged_cost_counter_is_documented(self):
-        engine = BSPEngine()
-        skyline(
-            generate("anticorrelated", 300, 3, seed=5),
-            algorithm="mr-gpmrs",
-            engine=engine,
-            num_reducers=3,
-        )
-        for name in engine.cost_counters.as_dict():
-            assert name in COUNTER_DOCS or matches_counter_family(name), name
-
-    def test_reset_cost_starts_a_fresh_report(self):
-        engine = BSPEngine()
-        engine.run(_two_group_job())
-        engine.reset_cost()
-        assert engine.cost.rounds == 0
-        assert engine.cost.replication_rate == 1.0
-        assert engine.cost_counters.as_dict() == {}
 
     def test_allpairs_bound_validates_and_divides(self):
         assert afrati_allpairs_bound(12, 4) == 3.0
@@ -178,14 +97,13 @@ class TestCostModel:
     ):
         """Every source record is delivered at least once, whatever the
         workload or reducer count."""
-        engine = BSPEngine()
-        skyline(
+        result = skyline(
             generate("independent", cardinality, 3, seed=seed),
             algorithm="mr-gpmrs",
-            engine=engine,
+            engine=SerialEngine(),
             num_reducers=num_reducers,
         )
-        cost = engine.cost
+        cost = CostReport.from_jobs(result.stats.jobs)
         assert cost.replication_rate >= 1.0
         assert cost.delivered_records >= cost.source_records
         assert cost.replication_rate == pytest.approx(
@@ -198,19 +116,16 @@ class TestCostModel:
         data = generate("anticorrelated", 1500, 3, seed=7)
         points = []
         for num_reducers in (1, 2, 4):
-            engine = BSPEngine()
-            skyline(
+            result = skyline(
                 data,
                 algorithm="mr-gpmrs",
-                engine=engine,
+                engine=SerialEngine(),
                 num_reducers=num_reducers,
                 tpp=187,
             )
+            cost = CostReport.from_jobs(result.stats.jobs)
             points.append(
-                (
-                    engine.cost.max_reducer_input_records,
-                    engine.cost.replication_rate,
-                )
+                (cost.max_reducer_input_records, cost.replication_rate)
             )
         points.sort()
         rates = [rate for _q, rate in points]
@@ -219,35 +134,23 @@ class TestCostModel:
 
 
 class TestEquivalenceAndReports:
-    def test_bsp_matches_serial_bytewise(self):
-        data = generate("anticorrelated", 260, 4, seed=45)
-        serial = skyline(data, algorithm="mr-gpmrs", engine=SerialEngine())
-        bsp = skyline(data, algorithm="mr-gpmrs", engine=BSPEngine())
-        assert bsp.indices.tolist() == serial.indices.tolist()
-        assert bsp.values.tolist() == serial.values.tolist()
-        assert [j.counters.as_dict() for j in bsp.stats.jobs] == [
-            j.counters.as_dict() for j in serial.stats.jobs
-        ]
-
-    def test_run_report_gains_cost_section_under_bsp(self):
+    def test_run_report_carries_cost_section(self):
         from repro.bench.harness import Cell, Workload, run_cell
         from repro.obs.schema import validate_report
 
         cell = Cell.make(
             Workload("independent", 200, 3, seed=3), "mr-gpmrs"
         )
-        bsp_result = run_cell(cell, engine=BSPEngine(), report=True)
-        report = bsp_result.report
+        result = run_cell(cell, report=True)
+        report = result.report
         assert validate_report(report) == []
+        assert report["cost"] == result.cost.as_dict()
         assert report["cost"]["rounds"] > 0
         assert report["cost"]["replication_rate"] >= 1.0
         assert (
             report["cost"]["supersteps"]
             == 2 * report["cost"]["rounds"]
         )
-        serial_result = run_cell(cell, report=True)
-        assert "cost" not in serial_result.report
-        assert validate_report(serial_result.report) == []
 
 
 class TestBarrierRendering:
@@ -255,13 +158,12 @@ class TestBarrierRendering:
         result = skyline(
             generate("independent", 200, 3, seed=4),
             algorithm="mr-gpmrs",
-            engine=BSPEngine(),
         )
         return result.stats.jobs
 
     def test_ascii_gantt_renders_barriers_distinctly(self):
         jobs = self._stats()
-        art = render_bsp_gantt(SimulatedCluster(), jobs)
+        art = render_pipeline_gantt(SimulatedCluster(), jobs, barriers=True)
         assert "=" in art  # barrier cells
         assert "~" in art  # the h-relation, still distinct
         assert "barriers '='" in art
@@ -269,7 +171,7 @@ class TestBarrierRendering:
 
     def test_chrome_trace_carries_barrier_category(self):
         jobs = self._stats()
-        spans = bsp_schedule_spans(SimulatedCluster(), jobs)
+        spans = schedule_spans(SimulatedCluster(), jobs, barriers=True)
         records = chrome_trace_events({"simulated": spans})
         categories = {r.get("cat") for r in records if r["ph"] == "X"}
         assert "barrier" in categories
@@ -288,36 +190,34 @@ class TestCLI:
         assert cli.main(["list", "--engines"]) == 0
         out = capsys.readouterr().out
         assert "engines:" in out
-        assert "bsp" in out
-        assert "supersteps" in out
-        assert "BSPEngine" in out
+        assert "ContractCheckingEngine" in out
         for name in ("serial", "threads", "processes", "contract"):
             assert name in out
 
-    def test_compute_engine_bsp_prints_cost_line(self, capsys):
+    def test_compute_barriers_prints_cost_line(self, capsys):
         code = cli.main(
             [
                 "compute", "--algo", "mr-gpmrs",
                 "--distribution", "independent",
                 "-c", "300", "-d", "3",
-                "--engine", "bsp", "--show", "0",
+                "--barriers", "--show", "0",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "bsp cost:" in out
+        assert "cost:" in out
         assert "replication" in out
 
-    def test_gantt_engine_bsp_shows_barriers(self, capsys):
+    def test_gantt_barriers_shows_barriers(self, capsys):
         code = cli.main(
             [
                 "gantt", "--algo", "mr-gpmrs",
                 "--distribution", "independent",
                 "-c", "300", "-d", "3",
-                "--engine", "bsp",
+                "--barriers",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "barriers '='" in out
-        assert "bsp cost:" in out
+        assert "cost:" in out

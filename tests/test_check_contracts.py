@@ -10,7 +10,7 @@ run green under the contract engine end to end.
 import numpy as np
 import pytest
 
-from repro.bsp import ContractCheckingBSPEngine
+from repro.bsp import CostReport
 from repro.check.contracts import ContractCheckingEngine, _shuffled_bucket
 from repro.check.fingerprint import fingerprint
 from repro.core.pointset import PointSet
@@ -211,12 +211,9 @@ def float_sum_ties(n: int = 400, seed: int = 1) -> np.ndarray:
 
 
 class TestRealAlgorithms:
-    """Every registered MapReduce algorithm honours the contracts —
-    under the serial contract engine and its BSP twin alike."""
+    """Every registered MapReduce algorithm honours the contracts."""
 
-    @pytest.mark.parametrize(
-        "engine_cls", [ContractCheckingEngine, ContractCheckingBSPEngine]
-    )
+    @pytest.mark.parametrize("engine_cls", [ContractCheckingEngine])
     @pytest.mark.parametrize("name", sorted(available_algorithms()))
     def test_algorithm_runs_green_under_contract_engine(
         self, name, engine_cls
@@ -231,13 +228,13 @@ class TestRealAlgorithms:
             expected = bruteforce_skyline_indices(case)
             assert sorted(result.indices.tolist()) == sorted(expected.tolist())
 
-    def test_contract_bsp_engine_runs_green_under_faults(self):
-        """The BSP contract engine stays green with a FaultPlan active:
-        re-executed supersteps honour the same purity contracts."""
+    def test_contract_engine_runs_green_under_faults(self):
+        """The contract engine stays green with a FaultPlan active:
+        re-executed tasks honour the same purity contracts."""
         from repro.mapreduce.faults import FaultPlan, RetryPolicy
 
         plan = FaultPlan(seed=9, fail_rate=1.0, max_failures_per_task=1)
-        engine = ContractCheckingBSPEngine(
+        engine = ContractCheckingEngine(
             retry=RetryPolicy(max_attempts=plan.min_attempts()),
             faults=plan,
         )
@@ -245,4 +242,4 @@ class TestRealAlgorithms:
         result = make_algorithm("mr-gpmrs").compute(data, engine=engine)
         expected = bruteforce_skyline_indices(data)
         assert sorted(result.indices.tolist()) == sorted(expected.tolist())
-        assert engine.cost.rounds > 0
+        assert CostReport.from_jobs(result.stats.jobs).rounds > 0

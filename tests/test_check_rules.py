@@ -227,31 +227,18 @@ class TestCounterFamilies:
             "REP003"
         ]
 
-    def test_family_regexes_cover_cost_counters(self):
-        from repro.mapreduce.counters import (
-            cost_counter,
-            counter_family_regexes,
-            matches_counter_family,
-        )
-
-        regexes = counter_family_regexes()
-        assert "mr.cost.superstep.<step>.h_records" in regexes
-        assert "mr.cost.superstep.<step>.h_bytes" in regexes
-        assert matches_counter_family(cost_counter(4, "h_records"))
-        assert not matches_counter_family("mr.cost.superstep.4.bogus")
-
-    def test_cost_builder_call_is_accepted(self):
+    def test_builder_call_with_variable_field_is_accepted(self):
         source = (
-            "from repro.mapreduce.counters import cost_counter\n"
-            "def f(ctx, step):\n"
-            "    ctx.counters.inc(cost_counter(step, 'h_bytes'))\n"
+            "from repro.mapreduce.counters import tenant_counter\n"
+            "def f(ctx, tenant, field):\n"
+            "    ctx.counters.inc(tenant_counter(tenant, field))\n"
         )
         assert check_source(source, "inline") == []
 
-    def test_undocumented_cost_counter_is_flagged(self):
+    def test_undocumented_family_field_is_flagged(self):
         source = (
             "def f(ctx):\n"
-            "    ctx.counters.inc('mr.cost.rogue')\n"
+            "    ctx.counters.inc('serve.tenant.t3.rogue')\n"
         )
         assert [v.rule_id for v in check_source(source, "inline")] == [
             "REP003"

@@ -1,18 +1,20 @@
 """Cross-engine and cross-path equivalence.
 
 The execution engine is infrastructure, never semantics: every engine
-(serial, thread pool, process pool, BSP supersteps) and both input
+(serial, thread pool, process pool, contract checking) and both input
 paths (record-at-a-time vs columnar block) must produce byte-identical
-skylines, identical counters, and identical shuffle-byte totals for
-every algorithm. This is the invariant that makes the cost model and
-the paper's counter figures engine-independent.
+skylines, identical counters, identical shuffle-byte totals and an
+identical rounds/replication cost report for every algorithm. This is
+the invariant that makes the cost model and the paper's counter
+figures engine-independent.
 """
 
 import numpy as np
 import pytest
 
 from repro import skyline
-from repro.bsp import BSPEngine
+from repro.bsp import CostReport
+from repro.check.contracts import ContractCheckingEngine
 from repro.data.generators import generate
 from repro.mapreduce.engine import SerialEngine
 from repro.mapreduce.parallel import ProcessPoolEngine, ThreadPoolEngine
@@ -76,14 +78,22 @@ def test_thread_pool_matches_serial(algorithm):
 
 @pytest.mark.parametrize("algorithm", MR_ALGORITHMS)
 def test_bsp_matches_serial(algorithm):
-    """The superstep engine changes the execution model, not one byte
-    of the result — and its cost report stays engine-local."""
+    """The BSP cost view — rounds, replication, h-relations — folds
+    from what each shuffle moved, so it is identical under every
+    engine and input path."""
     data = _dataset(algorithm, "anticorrelated", 220, 3, seed=43)
-    serial = _run(algorithm, data, SerialEngine())
-    bsp_engine = BSPEngine()
-    bsp = _run(algorithm, data, bsp_engine)
-    assert serial == bsp
-    assert bsp_engine.cost.rounds > 0  # it did account the run
+    costs = []
+    for engine in (
+        SerialEngine(),
+        ThreadPoolEngine(max_workers=2),
+        ProcessPoolEngine(max_workers=2),
+        ContractCheckingEngine(),
+        SerialEngine(block_path=False),
+    ):
+        result = skyline(data, algorithm=algorithm, engine=engine)
+        costs.append(CostReport.from_jobs(result.stats.jobs).as_dict())
+    assert costs[0]["rounds"] == len(result.stats.jobs) > 0
+    assert all(cost == costs[0] for cost in costs[1:])
 
 
 @pytest.mark.parametrize("algorithm", MR_ALGORITHMS)
@@ -105,8 +115,7 @@ def test_all_engines_agree_bytewise(distribution):
             SerialEngine(),
             ThreadPoolEngine(max_workers=3),
             ProcessPoolEngine(max_workers=2),
-            BSPEngine(),
-            BSPEngine(block_path=False),
+            ContractCheckingEngine(),
         )
     ]
     assert all(p == prints[0] for p in prints[1:])
@@ -125,4 +134,3 @@ def test_engine_reprs_show_configuration():
     assert "block_path=False" in repr(SerialEngine(block_path=False))
     assert "max_workers=7" in repr(ThreadPoolEngine(max_workers=7))
     assert "max_workers=3" in repr(ProcessPoolEngine(max_workers=3))
-    assert repr(BSPEngine()).startswith("BSPEngine(")

@@ -8,7 +8,7 @@ counters and attempt histories to each other, and a simulated makespan
 that charges the re-executed work.
 
 CI runs this suite per engine at a nonzero fault rate via
-``pytest -k serial|threads|processes|bsp`` (see
+``pytest -k serial|threads|processes|contract`` (see
 .github/workflows/ci.yml).
 """
 
@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from repro import skyline
-from repro.bsp import BSPEngine
+from repro.bsp import CostReport
+from repro.check.contracts import ContractCheckingEngine
 from repro.data.generators import generate
 from repro.mapreduce.cluster import SimulatedCluster
 from repro.mapreduce.engine import SerialEngine
@@ -61,7 +62,9 @@ ENGINES = {
     "processes": lambda: ProcessPoolEngine(
         max_workers=2, retry=RETRY, faults=PLAN, speculative=True
     ),
-    "bsp": lambda: BSPEngine(retry=RETRY, faults=PLAN, speculative=True),
+    "contract": lambda: ContractCheckingEngine(
+        retry=RETRY, faults=PLAN, speculative=True
+    ),
 }
 
 
@@ -123,9 +126,9 @@ def _faulty_serial_fingerprint(algorithm):
 @pytest.mark.parametrize("engine_name", sorted(ENGINES))
 @pytest.mark.parametrize("algorithm", MR_ALGORITHMS)
 def test_faulty_run_matches_fault_free_skyline(algorithm, engine_name):
-    """Same skyline as the fault-free run; same fingerprint (counters,
-    shuffle bytes, per-attempt history) as every other engine under the
-    identical fault schedule."""
+    """Same skyline and cost report as the fault-free run; same
+    fingerprint (counters, shuffle bytes, per-attempt history) as every
+    other engine under the identical fault schedule."""
     clean = _clean_run(algorithm)
     faulty = skyline(
         _dataset(algorithm),
@@ -135,6 +138,10 @@ def test_faulty_run_matches_fault_free_skyline(algorithm, engine_name):
     )
     assert faulty.indices.tolist() == clean.indices.tolist()
     assert faulty.values.tolist() == clean.values.tolist()
+    assert (
+        CostReport.from_jobs(faulty.stats.jobs).as_dict()
+        == CostReport.from_jobs(clean.stats.jobs).as_dict()
+    )
     assert _fingerprint(faulty) == _faulty_serial_fingerprint(algorithm)
     # the plan guarantees one injected failure per task, so every phase
     # of every job re-executed at least once

@@ -2,15 +2,18 @@
 
 import threading
 
+import numpy as np
 import pytest
 
-from repro.errors import TaskFailedError, ValidationError
+from repro import skyline
+from repro.errors import AlgorithmError, TaskFailedError, ValidationError
 from repro.mapreduce.engine import SerialEngine
 from repro.mapreduce.faults import RetryPolicy
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.parallel import ThreadPoolEngine
 from repro.mapreduce.splits import kv_splits
 from repro.mapreduce.types import IdentityReducer, Mapper, Reducer
+from repro.obs.events import EventBus, EventLog, TaskAttemptStart
 
 
 class FlakyOnce:
@@ -162,6 +165,28 @@ class TestNonRetryableErrors:
         with pytest.raises(TaskFailedError):
             SerialEngine(max_attempts=4).run(self.one_split_job(factory))
         assert len(calls) == 1
+
+    def test_algorithm_error_not_retried(self):
+        """MR-Bitmap's distinct-value limit fails in the reduce task the
+        same way on every attempt: one attempt, AlgorithmError as the
+        cause."""
+        bus = EventBus()
+        log = bus.subscribe(EventLog())
+        engine = SerialEngine(retry=RetryPolicy(max_attempts=4), bus=bus)
+        with pytest.raises(TaskFailedError) as exc:
+            skyline(
+                np.random.default_rng(0).random((300, 2)),
+                algorithm="mr-bitmap",
+                engine=engine,
+            )
+        assert isinstance(exc.value.__cause__, AlgorithmError)
+        starts = [
+            event
+            for event in log.events
+            if isinstance(event, TaskAttemptStart)
+            and event.task_id == "reduce-0000"
+        ]
+        assert len(starts) == 1
 
     def test_transient_error_still_retried(self):
         factory, calls = self.make_counting_mapper(RuntimeError("flaky"))
