@@ -19,7 +19,7 @@ from repro.errors import ValidationError
 from repro.mapreduce.cluster import SimulatedCluster
 from repro.mapreduce.engine import SerialEngine
 from repro.mapreduce.metrics import PipelineStats
-from repro.obs.events import PipelineEnd, PipelineStart
+from repro.obs.events import PipelineEnd, PipelineStart, bus_active
 
 
 @dataclass
@@ -106,12 +106,12 @@ class SkylineAlgorithm(abc.ABC):
             num_mappers=num_mappers,
         )
         bus = getattr(env.engine, "bus", None)
-        if bus is not None and bus.active:
+        if bus_active(bus):
             bus.emit(PipelineStart(algorithm=self.name))
         result = self._run(normalized, env)
         # Report values from the caller's original (un-negated) data.
         result.values = original[result.indices]
-        if bus is not None and bus.active:
+        if bus_active(bus):
             bus.emit(
                 PipelineEnd(
                     algorithm=self.name,

@@ -187,17 +187,19 @@ def merge_partition_skylines(
     """Union per-mapper partition skylines (Algorithm 6 lines 1-6).
 
     Each incoming chunk is internally dominance-free per partition, so
-    the union of one partition's chunks is reduced with cross-filtering
-    merges (the vectorised form of the InsertTuple loop).
+    one cell's pieces, in arrival order, are reduced by one
+    :meth:`PointSet.merge_skylines` (the vectorised form of the
+    InsertTuple loop).
     """
-    counter = DominanceCounter()
-    merged: Dict[int, PointSet] = {}
+    pieces: Dict[int, List[PointSet]] = {}
     for chunk in chunks:
         for cell, sky in chunk.items():
-            current = merged.get(cell)
-            merged[cell] = sky if current is None else current.merge_skyline(
-                sky, counter
-            )
+            pieces.setdefault(cell, []).append(sky)
+    counter = DominanceCounter()
+    merged = {
+        cell: PointSet.merge_skylines(parts, counter)
+        for cell, parts in pieces.items()
+    }
     ctx.counters.inc(counter_names.TUPLE_COMPARES, counter.pairs)
     return merged
 

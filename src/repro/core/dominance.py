@@ -77,14 +77,31 @@ def point_dominated_by(point: np.ndarray, block: np.ndarray) -> bool:
     return bool((le.all(axis=1) & lt.any(axis=1)).any())
 
 
-def _slab_hits(columns: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    """Which ``cand`` columns some ``columns`` column dominates.
+def _reduce(slab: np.ndarray, first: bool):
+    """Reduce a dominance slab to ``(hit, index)`` per candidate.
+
+    The mask form takes an ``(against, cand)`` slab and reduces it with
+    ``any``; ``index`` is None. The ``first`` form takes a
+    ``(cand, against)`` slab, so ``argmax`` runs along contiguous rows
+    and stops at each row's first hit; ``index`` is that hit's column.
+    """
+    if not first:
+        return slab.any(axis=0), None
+    index = slab.argmax(axis=1)
+    return slab[np.arange(slab.shape[0]), index], index
+
+
+def _slab_hits(columns: np.ndarray, cand: np.ndarray, first: bool):
+    """:func:`_reduce` over the slab of ``columns`` against ``cand``.
 
     Both arguments are transposed blocks, one row per dimension. Each
     dimension takes one in-place ``<=`` and one ``==`` pass over a 2-D
-    ``(against, cand)`` slab.
+    slab, laid out as :func:`_reduce` expects.
     """
-    rows = columns[:, :, None]
+    if first:
+        rows, cand = columns[:, None, :], cand[:, :, None]
+    else:
+        rows = columns[:, :, None]
     le = rows[0] <= cand[0]
     eq = rows[0] == cand[0]
     work = np.empty_like(le)
@@ -92,44 +109,59 @@ def _slab_hits(columns: np.ndarray, cand: np.ndarray) -> np.ndarray:
         le &= np.less_equal(rows[k], cand[k], out=work)
         eq &= np.equal(rows[k], cand[k], out=work)
     le &= np.invert(eq, out=eq)
-    return le.any(axis=0)
+    return _reduce(le, first)
 
 
-def dominated_mask(candidates: np.ndarray, against: np.ndarray) -> np.ndarray:
+def _answer(hit: np.ndarray, index, m: int) -> np.ndarray:
+    """The mask, or the first dominator's index with ``m`` for none."""
+    return hit if index is None else np.where(hit, index, m)
+
+
+def dominated_mask(
+    candidates: np.ndarray, against: np.ndarray, *, first: bool = False
+) -> np.ndarray:
     """Mask over ``candidates`` rows dominated by any row of ``against``.
+
+    With ``first``, return instead, for each candidate, the index of the
+    first ``against`` row that dominates it, or ``len(against)`` where
+    none does.
 
     The slab kernel: a row of ``against`` dominates a candidate where
     ``<=`` held on every dimension and ``==`` did not, both tested one
     dimension at a time over 2-D boolean slabs. Memory-bounded:
     ``against`` is swept in chunks whose three slabs stay under
     ``_CHUNK_BUDGET`` bools, and rows already known to be dominated are
-    skipped in later chunks.
+    skipped in later chunks (their first dominator lies in the chunk
+    that hit them).
     """
     candidates = np.asarray(candidates, dtype=np.float64)
     against = np.asarray(against, dtype=np.float64)
     n = candidates.shape[0]
     m = against.shape[0]
     if n == 0 or m == 0:
-        return np.zeros(n, dtype=bool)
+        return np.full(n, m, dtype=np.intp) if first else np.zeros(n, dtype=bool)
     if candidates.shape[1] != against.shape[1]:
         raise DataError(
             f"dimensionality mismatch: {candidates.shape[1]} vs {against.shape[1]}"
         )
     if n * m * candidates.shape[1] <= _SMALL_BLOCK:
-        x = against[:, None, :]
-        y = candidates[None, :, :]
-        return ((x <= y).all(axis=2) & (x < y).any(axis=2)).any(axis=0)
+        if first:
+            x, y = against[None, :, :], candidates[:, None, :]
+        else:
+            x, y = against[:, None, :], candidates[None, :, :]
+        slab = (x <= y).all(axis=2) & (x < y).any(axis=2)
+        return _answer(*_reduce(slab, first), m)
     columns = against.T
     cand = candidates.T
     step = _row_chunks(m, 3 * n)
     if step >= m:
-        return _slab_hits(columns, cand)
-    mask = np.zeros(n, dtype=bool)
+        return _answer(*_slab_hits(columns, cand, first), m)
+    out = np.full(n, m, dtype=np.intp) if first else np.zeros(n, dtype=bool)
     alive = np.arange(n)
     start = 0
     while start < m and alive.size:
-        hit = _slab_hits(columns[:, start : start + step], cand)
-        mask[alive[hit]] = True
+        hit, index = _slab_hits(columns[:, start : start + step], cand, first)
+        out[alive[hit]] = True if index is None else start + index[hit]
         alive = alive[~hit]
         cand = cand[:, ~hit]
         start += step
@@ -138,7 +170,7 @@ def dominated_mask(candidates: np.ndarray, against: np.ndarray) -> np.ndarray:
         # later sweeps can take proportionally larger bites of
         # ``against`` under the same memory budget.
         step = _row_chunks(m - start, 3 * alive.size)
-    return mask
+    return out
 
 
 def entropy_key(data: np.ndarray) -> np.ndarray:

@@ -171,17 +171,42 @@ class PointSet:
             return self
         return self.select(sfs_skyline_indices(self.values, counter))
 
-    def merge_skyline(
-        self,
-        other: "PointSet",
+    @classmethod
+    def merge_skylines(
+        cls,
+        parts,
         counter: Optional[dominance.DominanceCounter] = None,
     ) -> "PointSet":
-        """Skyline of the union of two sets, exploiting that each side
-        is already dominance-free internally (cross-filter only)."""
-        if len(self) == 0:
-            return other
-        if len(other) == 0:
-            return self
-        mine = self.remove_dominated_by(other, counter)
-        theirs = other.remove_dominated_by(self, counter)
-        return PointSet.concat([mine, theirs])
+        """Skyline of the union of ``parts``, each already dominance-free
+        internally.
+
+        Equivalent to folding the parts pairwise, each step keeping the
+        rows of the running merge and of the next part that the other
+        side does not dominate: the same rows, in union order, and
+        ``counter`` charged exactly what the fold's two cross-filter
+        calls per step were. One first-dominator kernel call of the
+        union against itself replaces the fold. A row of part ``c``
+        whose first dominator lies in part ``j`` (``j`` = the number of
+        parts where none does) is in the running merge from step ``c``
+        to step ``max(c, j) - 1``, which gives every running size. Empty parts are skipped; with at most one
+        non-empty part that part (or the last one) comes back as is.
+        """
+        parts = list(parts)
+        full = [p for p in parts if len(p)]
+        if len(full) <= 1:
+            return full[0] if full else parts[-1]
+        union = cls.concat(full)
+        first = dominance.dominated_mask(union.values, union.values, first=True)
+        if counter is not None:
+            sizes = np.array([len(p) for p in full])
+            part = np.repeat(np.arange(len(full)), sizes)
+            owner = np.append(part, len(full))[first]
+            leave = np.maximum(owner, part)
+            bins = len(full) + 1
+            running = np.cumsum(
+                np.bincount(part, minlength=bins) - np.bincount(leave, minlength=bins)
+            )
+            for merged, size in zip(running, sizes[1:]):
+                counter.charge(size, merged)
+                counter.charge(merged, size)
+        return union.select(first == len(union))

@@ -721,8 +721,9 @@ class SerialEngine:
             stats.source_records += sent
             if ids:
                 # Id-carrying records count once per distinct point.
-                id_array = np.concatenate(ids)
-                stats.source_records -= id_array.size - np.unique(id_array).size
+                id_array = np.sort(np.concatenate(ids))
+                repeats = np.count_nonzero(id_array[1:] == id_array[:-1])
+                stats.source_records -= int(repeats)
         stats.received_records = received_records
         stats.received_bytes = received_bytes
         if bus_active(self.bus):

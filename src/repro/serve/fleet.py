@@ -55,8 +55,8 @@ from repro.core.shm import SharedArena
 from repro.errors import ValidationError
 from repro.mapreduce import counters as counter_names
 from repro.mapreduce.counters import Counters
-from repro.obs.events import ServeReshard
-from repro.serve.index import SkylineIndex
+from repro.obs.events import ServeReshard, bus_active
+from repro.serve.index import SkylineIndex, select_region
 from repro.serve.shard import (
     ShardPlan,
     UncoveredCellError,
@@ -392,7 +392,7 @@ class SkylineFleet:
         self._build(ids[order], values[order])
         self.last_shard_pairs = {}
         self.counters.inc(counter_names.SERVE_SHARD_RESHARDS)
-        if self.bus is not None and self.bus.active:
+        if bus_active(self.bus):
             self.bus.emit(
                 ServeReshard(
                     reason="uncovered",
@@ -588,17 +588,7 @@ class SkylineFleet:
 
     def query(self, region: Optional[Tuple] = None) -> PointSet:
         """Skyline members inside a constraint box (router merge)."""
-        sky = self.skyline()
-        if region is None or len(sky) == 0:
-            return sky
-        lows = np.asarray(region[0], dtype=np.float64).ravel()
-        highs = np.asarray(region[1], dtype=np.float64).ravel()
-        if lows.shape[0] != self._d or highs.shape[0] != self._d:
-            raise ValidationError(f"region must have {self._d} dimensions")
-        inside = (sky.values >= lows).all(axis=1) & (
-            sky.values <= highs
-        ).all(axis=1)
-        return sky.select(inside)
+        return select_region(self.skyline(), region)
 
     def snapshot(self) -> PointSet:
         """All live points (deduplicated via ownership), ids ascending."""

@@ -63,8 +63,6 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-import numpy as np
-
 from repro.core.dominance import DominanceCounter
 from repro.core.pointset import PointSet
 from repro.errors import ValidationError
@@ -78,7 +76,7 @@ from repro.obs.events import (
     bus_active,
 )
 from repro.serve.cache import ResultCache
-from repro.serve.index import SkylineIndex
+from repro.serve.index import SkylineIndex, select_region
 
 SERVING_POLICIES = ("delta", "recompute")
 
@@ -236,7 +234,7 @@ class _ServingCore:
             sky = snapshot.local_skyline(counter)
             sky = sky.sort_by(sky.ids)  # the batch output convention
             self.counters.inc(counter_names.TUPLE_COMPARES, counter.pairs)
-            result = _filter_region(sky, region)
+            result = select_region(sky, region)
             pairs = counter.pairs
         if self.cache.capacity:
             self.cache.put(epoch, region, result)
@@ -256,17 +254,6 @@ class _ServingCore:
                 result_size=len(result),
             )
         return result, False, duration
-
-
-def _filter_region(sky: PointSet, region) -> PointSet:
-    if region is None or len(sky) == 0:
-        return sky
-    lows = np.asarray(region[0], dtype=np.float64).ravel()
-    highs = np.asarray(region[1], dtype=np.float64).ravel()
-    inside = (sky.values >= lows).all(axis=1) & (sky.values <= highs).all(
-        axis=1
-    )
-    return sky.select(inside)
 
 
 class QueryFrontend:

@@ -74,6 +74,23 @@ REFRESH_ALGORITHMS = ("mr-gpsrs", "mr-gpmrs")
 DEFAULT_STALENESS_BUDGET = 256
 
 
+def select_region(sky: PointSet, region: Optional[Tuple]) -> PointSet:
+    """Rows of ``sky`` inside the closed box ``region = (lows, highs)``.
+
+    ``None`` (or an empty ``sky``) returns ``sky`` itself; a box whose
+    dimensionality differs from ``sky``'s raises ``ValidationError``.
+    """
+    if region is None or len(sky) == 0:
+        return sky
+    lows = np.asarray(region[0], dtype=np.float64).ravel()
+    highs = np.asarray(region[1], dtype=np.float64).ravel()
+    d = sky.dimensionality
+    if lows.shape[0] != d or highs.shape[0] != d:
+        raise ValidationError(f"region must have {d} dimensions")
+    inside = (sky.values >= lows).all(axis=1) & (sky.values <= highs).all(axis=1)
+    return sky.select(inside)
+
+
 class SkylineIndex:
     """Grid + bitstring + buckets + skyline, maintained under deltas."""
 
@@ -242,19 +259,7 @@ class SkylineIndex:
         can contain additional points) is a roadmap item.
         """
         with self._lock:
-            sky = self._sky
-            if region is None or len(sky) == 0:
-                return sky
-            lows = np.asarray(region[0], dtype=np.float64).ravel()
-            highs = np.asarray(region[1], dtype=np.float64).ravel()
-            if lows.shape[0] != self._d or highs.shape[0] != self._d:
-                raise ValidationError(
-                    f"region must have {self._d} dimensions"
-                )
-            inside = (sky.values >= lows).all(axis=1) & (
-                sky.values <= highs
-            ).all(axis=1)
-            return sky.select(inside)
+            return select_region(self._sky, region)
 
     # -- delta maintenance ---------------------------------------------
 

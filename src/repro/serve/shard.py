@@ -63,9 +63,13 @@ from repro.grid.groups import (
 from repro.grid.ppd import cap_ppd, ppd_from_equation4
 from repro.mapreduce import counters as counter_names
 from repro.mapreduce.counters import Counters
-from repro.obs.events import ServeDeltaBatch, ServeReshard
+from repro.obs.events import ServeDeltaBatch, ServeReshard, bus_active
 from repro.serve.frontend import DEFAULT_TENANT, QueryFrontend, _ServingCore
-from repro.serve.index import DEFAULT_STALENESS_BUDGET, SkylineIndex
+from repro.serve.index import (
+    DEFAULT_STALENESS_BUDGET,
+    SkylineIndex,
+    select_region,
+)
 
 #: Ceiling for the adaptive partitions-per-dimension search: doubling
 #: stops here even if the group count never reaches the shard count
@@ -371,19 +375,7 @@ class ShardedSkylineIndex:
     def query(self, region: Optional[Tuple] = None) -> PointSet:
         """Skyline members inside a constraint box (router merge)."""
         with self._lock:
-            sky = self.skyline()
-            if region is None or len(sky) == 0:
-                return sky
-            lows = np.asarray(region[0], dtype=np.float64).ravel()
-            highs = np.asarray(region[1], dtype=np.float64).ravel()
-            if lows.shape[0] != self._d or highs.shape[0] != self._d:
-                raise ValidationError(
-                    f"region must have {self._d} dimensions"
-                )
-            inside = (sky.values >= lows).all(axis=1) & (
-                sky.values <= highs
-            ).all(axis=1)
-            return sky.select(inside)
+            return select_region(self.skyline(), region)
 
     def snapshot(self) -> PointSet:
         """All live points (deduplicated via ownership), ids ascending."""
@@ -569,7 +561,7 @@ class ShardedSkylineIndex:
                 counter_names.SERVE_SHARD_BATCHED_OPS, len(ops)
             )
             self.epoch += 1
-            if self.bus is not None and self.bus.active:
+            if bus_active(self.bus):
                 self.bus.emit(
                     ServeDeltaBatch(
                         ops=len(ops),
@@ -602,7 +594,7 @@ class ShardedSkylineIndex:
         self.last_shard_pairs = {}
         self.counters.inc(counter_names.SERVE_INSERTS)
         self.counters.inc(counter_names.SERVE_SHARD_RESHARDS)
-        if self.bus is not None and self.bus.active:
+        if bus_active(self.bus):
             self.bus.emit(
                 ServeReshard(
                     reason=reason,

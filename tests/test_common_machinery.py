@@ -1,6 +1,8 @@
 """Shared algorithm building blocks (repro.algorithms.common) and the
 basic MapReduce types."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,14 @@ from repro.algorithms.common import (
     merge_partition_skylines,
     partition_local_skylines,
 )
+from repro.core import dominance
 from repro.core.pointset import PointSet
 from repro.core.reference import bruteforce_skyline_indices
 from repro.errors import AlgorithmError, ValidationError
 from repro.grid.bitstring import Bitstring
 from repro.grid.grid import Grid
 from repro.mapreduce.cache import DistributedCache
-from repro.mapreduce.counters import PARTITION_COMPARES
+from repro.mapreduce.counters import PARTITION_COMPARES, TUPLE_COMPARES
 from repro.mapreduce.types import TaskContext, TaskId
 
 
@@ -148,6 +151,32 @@ class TestMergeAndAssemble:
         assert merged[0].id_set() == set(
             bruteforce_skyline_indices(data).tolist()
         )
+
+    def test_merge_one_kernel_call_per_merged_cell(self, rng):
+        """Cells 0 and 2 get two or more non-empty pieces, one call
+        each; cell 1 gets one non-empty piece and needs none."""
+        data = rng.random((90, 3))
+
+        def piece(lo, hi):
+            return PointSet(np.arange(lo, hi), data[lo:hi]).local_skyline()
+
+        empty = PointSet.empty(3)
+        alone = piece(40, 50)
+        chunks = [
+            {0: piece(0, 20), 1: empty},
+            {2: piece(20, 40), 1: alone},
+            {0: piece(50, 70), 2: empty},
+            {0: piece(70, 80), 2: piece(80, 90)},
+        ]
+        c = ctx()
+        with mock.patch.object(
+            dominance, "dominated_mask", wraps=dominance.dominated_mask
+        ) as kernel:
+            merged = merge_partition_skylines(chunks, c)
+        assert kernel.call_count == 2
+        assert list(merged) == [0, 1, 2]
+        assert merged[1] is alone
+        assert c.counters[TUPLE_COMPARES] > 0
 
     def test_assemble_sorts_and_validates(self):
         a = PointSet(np.array([5, 2]), np.zeros((2, 2)))

@@ -108,6 +108,37 @@ class TestVectorised:
             assert dominance.dominated_mask(cand, against).tolist() == expect
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(pair=blocks(max_rows=40, count=2))
+    @example(
+        pair=(
+            np.random.default_rng(2).integers(0, 3, (50, 4)).astype(float),
+            np.random.default_rng(3).integers(0, 3, (70, 4)).astype(float),
+        )
+    )
+    def test_first_dominator(self, pair):
+        """``first=True`` gives each candidate's first dominating
+        ``against`` row, ``len(against)`` for none, under the default
+        chunk budget and a 64-bool one."""
+        cand, against = pair
+        m = len(against)
+        expect = [
+            next((j for j in range(m) if dominance.dominates(against[j], c)), m)
+            for c in cand
+        ]
+        got = dominance.dominated_mask(cand, against, first=True)
+        assert got.tolist() == expect
+        with mock.patch.object(dominance, "_CHUNK_BUDGET", 64):
+            got = dominance.dominated_mask(cand, against, first=True)
+            assert got.tolist() == expect
+
+    def test_first_dominator_empty_inputs(self):
+        got = dominance.dominated_mask(np.ones((3, 2)), np.empty((0, 2)), first=True)
+        assert got.tolist() == [0, 0, 0]
+        got = dominance.dominated_mask(np.empty((0, 2)), np.ones((3, 2)), first=True)
+        assert got.shape == (0,)
+
+
 class TestEntropyKey:
     def test_monotone_wrt_dominance(self, rng):
         data = rng.random((50, 3))

@@ -2,15 +2,42 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.dominance import DominanceCounter
 from repro.core.pointset import PointSet
 from repro.core.reference import bruteforce_skyline_indices
 from repro.errors import DataError
+from tests.kernel_inputs import blocks
 
 
 def make(values, start_id=0):
     return PointSet.from_array(np.asarray(values, dtype=np.float64), start_id)
+
+
+def pairwise_fold(parts, counter=None):
+    """The merge :meth:`PointSet.merge_skylines` replaced: fold the parts
+    in order, each step cross-filtering the running merge and the next
+    part and concatenating what survives on both sides."""
+    merged = parts[0]
+    for part in parts[1:]:
+        if len(merged) == 0:
+            merged = part
+        elif len(part):
+            mine = merged.remove_dominated_by(part, counter)
+            theirs = part.remove_dominated_by(merged, counter)
+            merged = PointSet.concat([mine, theirs])
+    return merged
+
+
+def skyline_parts(data, cuts):
+    """Split ``data`` at ``cuts`` into parts, each its own skyline."""
+    bounds = [0, *sorted(min(c, len(data)) for c in cuts), len(data)]
+    return [
+        PointSet(np.arange(lo, hi), data[lo:hi]).local_skyline()
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
 
 
 class TestConstruction:
@@ -119,18 +146,51 @@ class TestDominanceOps:
         right = PointSet(
             np.arange(50, 100), data[50:]
         ).local_skyline()
-        merged = left.merge_skyline(right)
+        merged = PointSet.merge_skylines([left, right])
         assert merged.id_set() == set(
             bruteforce_skyline_indices(data).tolist()
         )
 
     def test_merge_skyline_empty_sides(self):
         ps = make([[1, 1]])
-        assert ps.merge_skyline(PointSet.empty(2)) is ps
-        assert PointSet.empty(2).merge_skyline(ps) is ps
+        empty = PointSet.empty(2)
+        assert PointSet.merge_skylines([ps, empty]) is ps
+        assert PointSet.merge_skylines([empty, ps]) is ps
+        assert PointSet.merge_skylines([empty, ps, empty]) is ps
+        assert PointSet.merge_skylines([ps]) is ps
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        drawn=blocks(max_rows=60),
+        cuts=st.lists(st.integers(0, 60), max_size=5),
+    )
+    # Row sums tie at 1e12 although row 1 dominates row 0, and row 2
+    # repeats row 1 in a later part.
+    @example(
+        drawn=(np.array([[1e12, 2e-12], [1e12, 1e-12], [1e12, 1e-12]]),),
+        cuts=[1, 2],
+    )
+    def test_merge_skylines_matches_pairwise_fold(self, drawn, cuts):
+        """One kernel call gives the fold's rows in the fold's order and
+        charges the fold's pairs and calls, for 1-6 parts, empty ones,
+        duplicates across parts, ``-0.0`` and tied row sums included."""
+        parts = skyline_parts(drawn[0], cuts)
+        want_counter = DominanceCounter()
+        want = pairwise_fold(parts, want_counter)
+        counter = DominanceCounter()
+        got = PointSet.merge_skylines(parts, counter)
+        assert got.ids.tolist() == want.ids.tolist()
+        assert np.array_equal(got.values, want.values)
+        assert (counter.pairs, counter.calls) == (
+            want_counter.pairs,
+            want_counter.calls,
+        )
+        assert sorted(got.ids.tolist()) == sorted(
+            bruteforce_skyline_indices(drawn[0]).tolist()
+        )
 
     def test_merge_skyline_identical_duplicate_sets(self):
         left = make([[1, 1]])
         right = make([[1, 1]], start_id=5)
-        merged = left.merge_skyline(right)
+        merged = PointSet.merge_skylines([left, right])
         assert merged.id_set() == {0, 5}  # equal points never dominate

@@ -99,7 +99,7 @@ class TestPointSetProperties:
         right = PointSet(
             np.arange(half, data.shape[0]), data[half:]
         ).local_skyline()
-        merged = left.merge_skyline(right)
+        merged = PointSet.merge_skylines([left, right])
         assert merged.id_set() == set(
             bruteforce_skyline_indices(data).tolist()
         )
