@@ -273,7 +273,8 @@ class ServeDeltaBatch(Event):
 
     ``max_shard_pairs`` is the largest per-shard repair work of the
     batch — the quantity that bounds the fleet's parallel (virtual)
-    service time."""
+    service time. ``skyline_size`` is ``None`` from the sharded router,
+    which does not merge its shards just to size the event."""
 
     kind = "serve_delta_batch"
     ops: int
@@ -282,7 +283,7 @@ class ServeDeltaBatch(Event):
     epoch: int
     shards_touched: int = 1
     max_shard_pairs: int = 0
-    skyline_size: int = 0
+    skyline_size: Optional[int] = None
 
 
 @dataclass(frozen=True)

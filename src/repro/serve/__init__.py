@@ -22,12 +22,14 @@ arrive concurrently:
   and ``benchmarks/bench_serve.py``;
 * :class:`ShardedSkylineIndex` / :class:`ShardedFrontend`
   (:mod:`repro.serve.shard`) — the index partitioned by independent
-  groups (Lemma 2) across shards behind a router with one global
-  epoch and delta batching; exact by construction, scales write-heavy
-  capacity with the shard count;
-* :class:`SkylineFleet` (:mod:`repro.serve.fleet`) — the same shard
-  plan across real worker processes, initial shard datasets shipped
-  zero-copy through :mod:`repro.core.shm`.
+  groups (Lemma 2) across shards behind the one router (routing,
+  delta batching, owned-id merge, snapshot, reshard) with one global
+  epoch; exact by construction, scales write-heavy capacity with the
+  shard count. Its shards have two transports: in-process
+  :class:`SkylineIndex` objects, or
+* :class:`SkylineFleet` (:mod:`repro.serve.fleet`) — the same router
+  with one worker process per shard behind RPC stubs, initial shard
+  datasets shipped zero-copy through :mod:`repro.core.shm`.
 
 See ``docs/serving.md`` for the design and the correctness argument.
 """

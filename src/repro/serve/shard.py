@@ -98,14 +98,23 @@ class UncoveredCellError(Exception):
         self.cell = cell
 
 
+def shard_index(block: Optional[PointSet], d: int, **kwargs) -> SkylineIndex:
+    """One shard's :class:`SkylineIndex` over ``block`` (``None``: empty).
+
+    The shard keeps the block's global ids and its own counter bag;
+    ``kwargs`` are the index options (staleness budget, refresh
+    algorithm, engine, cluster).
+    """
+    if block is None:
+        return SkylineIndex(dimensionality=d, counters=Counters(), **kwargs)
+    return SkylineIndex(
+        block.values, point_ids=block.ids, counters=Counters(), **kwargs
+    )
+
+
 @dataclass(frozen=True)
 class ShardPlan:
-    """A fitted partition plan: grid, groups, and shard routing.
-
-    Shared by the in-process :class:`ShardedSkylineIndex` and the
-    process fleet in :mod:`repro.serve.fleet` so both route points the
-    same way.
-    """
+    """A fitted partition plan: grid, groups, and shard routing."""
 
     grid: Grid
     groups: Tuple[IndependentGroup, ...]
@@ -188,10 +197,15 @@ def plan_shards(
 
 
 class ShardedSkylineIndex:
-    """A fleet of :class:`SkylineIndex` shards behind one router.
+    """Shards of the skyline index behind one router.
 
-    Duck-compatible with :class:`SkylineIndex` where the frontends
-    need it (``epoch`` / ``skyline()`` / ``query()`` / ``snapshot()`` /
+    The router owns routing, delta batching, the owned-id merge,
+    ``snapshot`` and reshard. Its shards are in-process
+    :class:`SkylineIndex` objects here, and RPC stubs over worker
+    processes under :class:`~repro.serve.fleet.SkylineFleet` (the
+    :meth:`_make_shards` hook). Duck-compatible with
+    :class:`SkylineIndex` where the frontends need it (``epoch`` /
+    ``skyline()`` / ``query()`` / ``snapshot()`` /
     ``apply_delta_batch()`` / ``counters`` / ``bus``), so the serving
     stack above does not care whether it talks to one index or many.
     """
@@ -216,7 +230,7 @@ class ShardedSkylineIndex:
         values = as_dataset(data)
         if values.shape[0] == 0:
             raise ValidationError(
-                "ShardedSkylineIndex needs a non-empty initial dataset "
+                f"{type(self).__name__} needs a non-empty initial dataset "
                 "(the grid and groups are fitted to it)"
             )
         self.requested_shards = int(num_shards)
@@ -243,19 +257,15 @@ class ShardedSkylineIndex:
     # -- construction ---------------------------------------------------
 
     def _build(self, ids: np.ndarray, values: np.ndarray) -> None:
-        """(Re)build grid, groups, shard indexes, and routing maps."""
+        """(Re)build grid, groups, shards, and routing maps."""
         plan = plan_shards(
             values, self.requested_shards, ppd=self._requested_ppd
         )
         self._plan = plan
-        self._grid = plan.grid
-        self._groups = plan.groups
-
         cells = plan.grid.cell_indices(values)
         num_shards = plan.num_shards
         shard_ids: List[List[int]] = [[] for _ in range(num_shards)]
         shard_rows: List[List[np.ndarray]] = [[] for _ in range(num_shards)]
-        self._cells: Dict[int, int] = {}
         self._owner: Dict[int, int] = {}
         self._members: Dict[int, Tuple[int, ...]] = {}
         replicated = 0
@@ -265,10 +275,9 @@ class ShardedSkylineIndex:
             cell = int(cells[pos])
             route = cell_route.get(cell)
             if route is None:
-                route = self._route_cell(cell)
+                route = plan.route_cell(cell)
                 cell_route[cell] = route
             shards, owner = route
-            self._cells[pid] = cell
             self._owner[pid] = owner
             self._members[pid] = shards
             replicated += len(shards) - 1
@@ -278,37 +287,43 @@ class ShardedSkylineIndex:
         self.counters.inc(
             counter_names.SERVE_SHARD_REPLICATED_POINTS, replicated
         )
-
-        self._shards: List[SkylineIndex] = []
-        for s in range(num_shards):
-            if shard_ids[s]:
-                shard = SkylineIndex(
+        self._shards = self._make_shards(
+            [
+                PointSet(
+                    np.asarray(shard_ids[s], dtype=np.int64),
                     np.vstack(shard_rows[s]),
-                    point_ids=np.asarray(shard_ids[s], dtype=np.int64),
-                    staleness_budget=self.staleness_budget,
-                    refresh_algorithm=self.refresh_algorithm,
-                    engine=self.engine,
-                    cluster=self.cluster,
-                    counters=Counters(),
                 )
-            else:  # a merged group of empty coverage (possible post-drift)
-                shard = SkylineIndex(
-                    dimensionality=self._d,
-                    staleness_budget=self.staleness_budget,
-                    refresh_algorithm=self.refresh_algorithm,
-                    engine=self.engine,
-                    cluster=self.cluster,
-                    counters=Counters(),
-                )
-            self._shards.append(shard)
+                if shard_ids[s]
+                # A merged group of empty coverage (possible post-drift).
+                else None
+                for s in range(num_shards)
+            ]
+        )
         self._sky_cache = None
         self._sky_cache_epoch = -1
 
-    def _route_cell(
-        self, cell: int
-    ) -> Tuple[Tuple[int, ...], int]:
-        """(covering shards, owner shard) — see :meth:`ShardPlan.route_cell`."""
-        return self._plan.route_cell(cell)
+    def _make_shards(self, blocks: List[Optional[PointSet]]) -> List:
+        """One shard per block: the transport hook.
+
+        In process each block becomes a :class:`SkylineIndex`;
+        :class:`~repro.serve.fleet.SkylineFleet` overrides this to
+        return RPC stubs over worker processes. A shard exposes what
+        the router calls: ``insert`` / ``delete`` /
+        ``apply_delta_batch`` / ``skyline`` / ``snapshot`` /
+        ``refreshes`` / ``counters`` (its ``TUPLE_COMPARES`` count is
+        the per-shard repair-pair account).
+        """
+        return [
+            shard_index(
+                block,
+                self._d,
+                staleness_budget=self.staleness_budget,
+                refresh_algorithm=self.refresh_algorithm,
+                engine=self.engine,
+                cluster=self.cluster,
+            )
+            for block in blocks
+        ]
 
     # -- read side ------------------------------------------------------
 
@@ -317,7 +332,7 @@ class ShardedSkylineIndex:
         return len(self._shards)
 
     @property
-    def shards(self) -> Tuple[SkylineIndex, ...]:
+    def shards(self) -> Tuple:
         return tuple(self._shards)
 
     def __len__(self) -> int:
@@ -410,9 +425,10 @@ class ShardedSkylineIndex:
             if pid in self._owner:
                 raise ValidationError(f"point id {pid} already present")
             self._next_id = max(self._next_id, pid + 1)
-            cell = self._grid.cell_index(row)
             try:
-                shards, owner = self._route_cell(cell)
+                shards, owner = self._plan.route_cell(
+                    self._plan.grid.cell_index(row)
+                )
             except UncoveredCellError:
                 self._reshard_with(extra=(pid, row), reason="uncovered")
                 self.epoch += 1
@@ -421,7 +437,6 @@ class ShardedSkylineIndex:
             for s in shards:
                 self._shards[s].insert(row, pid)
             self.last_shard_pairs = self._pairs_delta(before)
-            self._cells[pid] = cell
             self._owner[pid] = owner
             self._members[pid] = shards
             self.counters.inc(counter_names.SERVE_INSERTS)
@@ -443,7 +458,6 @@ class ShardedSkylineIndex:
                 self._shards[s].delete(pid)
             self.last_shard_pairs = self._pairs_delta(before)
             del self._owner[pid]
-            del self._cells[pid]
             self.counters.inc(counter_names.SERVE_DELETES)
             self.epoch += 1
 
@@ -464,7 +478,7 @@ class ShardedSkylineIndex:
                 self.last_shard_pairs = {}
                 return {}
             per_shard: Dict[int, List[Tuple]] = {}
-            routed: List[Tuple] = []  # (kind, pid, cell, shards, owner)
+            routed: List[Tuple] = []  # (kind, pid, shards, owner)
             try:
                 for op in ops:
                     if op[0] == "insert":
@@ -478,14 +492,15 @@ class ShardedSkylineIndex:
                         if pid is None:
                             pid = self._next_id
                         pid = int(pid)
-                        cell = self._grid.cell_index(row)
-                        shards, owner = self._route_cell(cell)
+                        shards, owner = self._plan.route_cell(
+                            self._plan.grid.cell_index(row)
+                        )
                         self._next_id = max(self._next_id, pid + 1)
                         for s in shards:
                             per_shard.setdefault(s, []).append(
                                 ("insert", row, pid)
                             )
-                        routed.append(("insert", pid, cell, shards, owner))
+                        routed.append(("insert", pid, shards, owner))
                     elif op[0] == "delete":
                         pid = int(op[1])
                         members = self._members.get(pid)
@@ -503,20 +518,21 @@ class ShardedSkylineIndex:
                                 raise ValidationError(
                                     f"unknown point id {pid}"
                                 )
-                            members = entry[3]
+                            members = entry[2]
                         for s in members:
                             per_shard.setdefault(s, []).append(
                                 ("delete", pid)
                             )
-                        routed.append(("delete", pid, None, members, None))
+                        routed.append(("delete", pid, members, None))
                     else:
                         raise ValidationError(
                             f"unknown delta op {op[0]!r}"
                         )
             except UncoveredCellError:
                 # Data drifted past every seed: replay sequentially so
-                # insert() can reshard, then report pairs pessimistically
-                # (the reshard dominates service time anyway).
+                # insert() can reshard. The batch is still counted as
+                # one batch, but the pairs returned are only the last
+                # op's (empty when that op resharded), not the batch's.
                 for op in ops:
                     if op[0] == "insert":
                         self.insert(op[1], op[2])
@@ -539,8 +555,7 @@ class ShardedSkylineIndex:
             num_deletes = 0
             for entry in routed:
                 if entry[0] == "insert":
-                    _k, pid, cell, shards, owner = entry
-                    self._cells[pid] = cell
+                    _k, pid, shards, owner = entry
                     self._owner[pid] = owner
                     self._members[pid] = shards
                     self.counters.inc(
@@ -549,10 +564,9 @@ class ShardedSkylineIndex:
                     )
                     num_inserts += 1
                 else:
-                    _k, pid, _cell, _shards, _owner = entry
+                    pid = entry[1]
                     self._members.pop(pid, None)
                     self._owner.pop(pid, None)
-                    self._cells.pop(pid, None)
                     num_deletes += 1
             self.counters.inc(counter_names.SERVE_INSERTS, num_inserts)
             self.counters.inc(counter_names.SERVE_DELETES, num_deletes)
@@ -572,7 +586,6 @@ class ShardedSkylineIndex:
                         max_shard_pairs=max(
                             self.last_shard_pairs.values(), default=0
                         ),
-                        skyline_size=len(self.skyline()),
                     )
                 )
             return dict(self.last_shard_pairs)
@@ -599,7 +612,7 @@ class ShardedSkylineIndex:
                 ServeReshard(
                     reason=reason,
                     shards=len(self._shards),
-                    groups=len(self._groups),
+                    groups=len(self._plan.groups),
                     epoch=self.epoch + 1,
                 )
             )
@@ -628,10 +641,10 @@ class ShardedSkylineIndex:
     def describe(self) -> str:
         sizes = [len(s) for s in self._shards]
         return (
-            f"ShardedSkylineIndex(shards={len(self._shards)}, "
+            f"{type(self).__name__}(shards={len(self._shards)}, "
             f"points={len(self)}, sizes={sizes}, "
-            f"groups={len(self._groups)}, epoch={self.epoch}, "
-            f"grid={self._grid.describe()})"
+            f"groups={len(self._plan.groups)}, epoch={self.epoch}, "
+            f"grid={self._plan.grid.describe()})"
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
